@@ -1,7 +1,8 @@
 """Bracket and Jones polynomials of braid closures, two independent ways.
 
 The production path rewrites the braid word in the Temperley-Lieb algebra
-and closes it with the Markov trace. The oracle path enumerates all 2^N
+and closes it with the Markov trace, in one pass of the fused state-vector
+engine of tl.trace_braid_word. The oracle path enumerates all 2^N
 crossing smoothings of the closed diagram and counts loops directly with
 an arc-segment walk; it never touches the diagram algebra, so agreement
 between the two is a real cross-check rather than a tautology.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord
 from .laurent import LaurentPoly, delta, jones_substitute
-from .tl import markov_trace, rep_braid_word
+from .tl import trace_braid_word
 
 STATE_SUM_MAX_LETTERS = 24
 
@@ -100,13 +101,23 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
 
 
 def bracket_via_tl(word: BraidWord) -> LaurentPoly:
-    """Bracket polynomial via the Temperley-Lieb rewrite and Markov trace."""
-    return markov_trace(rep_braid_word(word))
+    """Bracket polynomial via the Temperley-Lieb rewrite and Markov trace.
+
+    Raises ValueError when the word's TL state outgrows
+    tl.STATE_MAX_DIAGRAMS diagrams.
+    """
+    return trace_braid_word(word)
 
 
 def bracket(word: BraidWord) -> LaurentPoly:
     """Bracket polynomial of the braid closure (Temperley-Lieb path)."""
     return bracket_via_tl(word)
+
+
+def writhe_normalize(word: BraidWord, poly: LaurentPoly) -> LaurentPoly:
+    """(-A^3)^(-w) * poly, where w is the writhe of word."""
+    w = word.writhe()
+    return LaurentPoly.monomial((-1) ** (w % 2), -3 * w) * poly
 
 
 def normalized_bracket(word: BraidWord) -> LaurentPoly:
@@ -115,9 +126,7 @@ def normalized_bracket(word: BraidWord) -> LaurentPoly:
     Invariant of the closure as a link, not just of the diagram: unchanged
     by adding a curl, and 1 on any unknot presentation.
     """
-    w = word.writhe()
-    correction = LaurentPoly.monomial((-1) ** (w % 2), -3 * w)
-    return correction * bracket_via_tl(word)
+    return writhe_normalize(word, bracket_via_tl(word))
 
 
 def jones_polynomial(word: BraidWord) -> LaurentPoly:

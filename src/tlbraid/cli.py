@@ -18,6 +18,7 @@ from .bracket import (
     bracket_via_tl,
     jones_polynomial,
     normalized_bracket,
+    writhe_normalize,
 )
 from .braid import parse_braid
 from .fibrep import (
@@ -28,7 +29,7 @@ from .fibrep import (
     tl_generator_matrix,
     verify_model,
 )
-from .laurent import LaurentPoly, delta, format_jones
+from .laurent import delta, format_jones
 from .tl import TLElement, markov_trace
 
 _PHASE_RE = re.compile(
@@ -96,8 +97,7 @@ def cmd_bracket(args) -> int:
         oracle_poly = bracket_state_sum(word)
     poly = tl_poly if tl_poly is not None else oracle_poly
     if args.normalized:
-        w = word.writhe()
-        poly = LaurentPoly.monomial((-1) ** (w % 2), -3 * w) * poly
+        poly = writhe_normalize(word, poly)
     if args.json:
         payload = {
             "strands": word.strands,

@@ -5,14 +5,32 @@ points: top endpoints 0..n-1 left to right, bottom endpoints n..2n-1 left
 to right. Composition stacks one diagram above another and harvests closed
 loops; LaurentPoly-weighted formal sums of diagrams form the algebra, with
 each closed loop worth a factor of the loop value -A^2 - A^-2.
+
+Braid words take a fused path. Diagrams of each size are interned as ints
+in a lazily filled table that memoizes the right action of every U_i, and
+a word is one pass of updates to a state {diagram id: {exponent: coeff}}:
+the A^(+-1) weights of a letter are exponent shifts, and a trapped loop
+splits a term into -A^(e+2) and -A^(e-2), so no LaurentPoly arithmetic
+runs per letter and coefficients stay exact Python ints. rep_braid_word
+wraps the final state as a TLElement and trace_braid_word closes it into
+the bracket. The general TLElement product and markov_trace serve the
+exact relation suite.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 from .braid import BraidWord
 from .laurent import LaurentPoly, delta
 
 ENUMERATION_MAX_N = 12
+# Catalan(12): the braid-word state may hold no more diagrams than there are
+# on the largest size enumerate_pairings supports.
+STATE_MAX_DIAGRAMS = math.comb(2 * ENUMERATION_MAX_N, ENUMERATION_MAX_N) // (
+    ENUMERATION_MAX_N + 1
+)
 
 _DELTA_POWERS = [LaurentPoly.one()]
 
@@ -278,28 +296,139 @@ class TLElement:
         }
 
 
+class _DiagramTable:
+    """The diagrams of one size interned as ints, with the memoized U_i action.
+
+    act[i - 1][d] is (id of d*U_i, loops trapped), or None until first
+    needed; loops is 0 or 1. closure[d] is the loop count of diagram d's
+    trace closure. Misses go through PlanarPairing.compose and its
+    validating constructor, so every product diagram is checked once.
+    """
+
+    def __init__(self, n: int):
+        self.diagrams: list[PlanarPairing] = []
+        self.closure: list[int] = []
+        self.act: list[list] = [[] for _ in range(n - 1)]
+        self._ids: dict[tuple, int] = {}
+        self._generators = [PlanarPairing.generator(n, i) for i in range(1, n)]
+        self._lock = threading.Lock()
+        self.identity = self.intern(PlanarPairing.identity(n))
+
+    def intern(self, diagram: PlanarPairing) -> int:
+        found = self._ids.get(diagram.partner)
+        if found is None:
+            with self._lock:  # an id must match its slot in every list
+                found = self._ids.get(diagram.partner)
+                if found is None:
+                    found = len(self.diagrams)
+                    self.diagrams.append(diagram)
+                    self.closure.append(diagram.closure_loops())
+                    for row in self.act:
+                        row.append(None)
+                    self._ids[diagram.partner] = found
+        return found
+
+    def fill(self, i: int, d: int) -> tuple[int, int]:
+        """Compute, store and return act[i - 1][d]."""
+        product, loops = self.diagrams[d].compose(self._generators[i - 1])
+        entry = self.act[i - 1][d] = (self.intern(product), loops)
+        return entry
+
+
+_TABLES: dict[int, _DiagramTable] = {}
+
+
+def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, dict[int, int]]]:
+    """The image of a braid word as {diagram id: {exponent: coefficient}}.
+
+    Right-multiplies the identity by A^s*identity + A^-s*U_i for each
+    letter s*i. Raises ValueError once the state holds more than
+    STATE_MAX_DIAGRAMS diagrams.
+    """
+    n = word.strands
+    table = _TABLES.get(n)
+    if table is None:
+        table = _TABLES.setdefault(n, _DiagramTable(n))
+    state = {table.identity: {0: 1}}
+    # Each letter is A^s * (identity + A^-2s * U_i). The factors A^s add up
+    # in shift, so the identity part stays in place and only the U_i part
+    # moves; shift is applied once at the end.
+    shift = 0
+    for ell in word.letters:
+        i = abs(ell)
+        s = 1 if ell > 0 else -1
+        shift += s
+        t = -2 * s
+        act = table.act[i - 1]
+        moved: dict[int, dict[int, int]] = {}
+        for d, poly in state.items():
+            target, loops = act[d] or table.fill(i, d)
+            acc = moved.get(target)
+            if loops:  # delta = -A^2 - A^-2
+                if acc is None:
+                    acc = moved[target] = {}
+                for e, c in poly.items():
+                    k = e + t + 2
+                    acc[k] = acc.get(k, 0) - c
+                    k -= 4
+                    acc[k] = acc.get(k, 0) - c
+            elif acc is None:
+                moved[target] = {e + t: c for e, c in poly.items() if c}
+            else:
+                for e, c in poly.items():
+                    k = e + t
+                    acc[k] = acc.get(k, 0) + c
+        for target, poly in moved.items():
+            acc = state.get(target)
+            if acc is None:
+                state[target] = poly
+            else:
+                for e, c in poly.items():
+                    acc[e] = acc.get(e, 0) + c
+        if len(state) > STATE_MAX_DIAGRAMS:
+            raise ValueError(
+                f"TL state on {n} strands exceeds {STATE_MAX_DIAGRAMS} diagrams "
+                f"(the Catalan({ENUMERATION_MAX_N}) cap)"
+            )
+    final = {
+        d: {e + shift: c for e, c in poly.items() if c} for d, poly in state.items()
+    }
+    return table, final
+
+
 def rep_braid_word(word: BraidWord) -> TLElement:
     """Image of a braid word in the TL algebra.
 
     Each positive letter maps to A*identity + A^-1*cupcap and each negative
     letter to A^-1*identity + A*cupcap; the whole word is the left-to-right
     product. Closing up the result with the Markov trace gives the bracket
-    polynomial of the braid closure.
+    polynomial of the braid closure (trace_braid_word does both at once).
+    Raises ValueError when the state outgrows STATE_MAX_DIAGRAMS diagrams.
     """
-    n = word.strands
-    acc = TLElement.identity(n)
-    for ell in word.letters:
-        i = abs(ell)
-        sign = 1 if ell > 0 else -1
-        factor = TLElement(
-            n,
-            {
-                PlanarPairing.identity(n): LaurentPoly.monomial(1, sign),
-                PlanarPairing.generator(n, i): LaurentPoly.monomial(1, -sign),
-            },
-        )
-        acc = acc * factor
-    return acc
+    table, state = _word_state(word)
+    diagrams = table.diagrams
+    return TLElement(
+        word.strands, {diagrams[d]: LaurentPoly(poly) for d, poly in state.items()}
+    )
+
+
+def trace_braid_word(word: BraidWord) -> LaurentPoly:
+    """markov_trace(rep_braid_word(word)), without building the TLElement.
+
+    Coefficients are summed per closure loop count first, so delta powers
+    are multiplied in once per distinct count.
+    """
+    table, state = _word_state(word)
+    closure = table.closure
+    by_loops: dict[int, dict[int, int]] = {}
+    for d, poly in state.items():
+        acc = by_loops.setdefault(closure[d], {})
+        for e, c in poly.items():
+            acc[e] = acc.get(e, 0) + c
+    total = LaurentPoly.zero()
+    for loops, poly in by_loops.items():
+        total = total + LaurentPoly(poly) * _delta_power(loops - 1)
+    return total
 
 
 def markov_trace(element: TLElement) -> LaurentPoly:

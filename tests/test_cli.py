@@ -9,6 +9,8 @@ import subprocess
 
 import pytest
 
+import tlbraid.tl as tl_module
+from tlbraid import BraidWord, normalized_bracket
 from tlbraid.cli import main, parse_phase
 
 TREFOIL = ["--strands", "2", "--word", "1 1 1"]
@@ -57,6 +59,16 @@ def test_bracket_oracle_and_both_agree():
     both = _run(["bracket", *TREFOIL, "--both"])
     assert oracle == base
     assert both == base
+
+
+def test_bracket_normalized_same_on_every_route():
+    for word in (BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2)),
+                 BraidWord(4, (1, 2, -3, 2, 2))):
+        text = " ".join(map(str, word.letters))
+        argv = ["bracket", "--strands", str(word.strands), "--word", text]
+        expected = f"{normalized_bracket(word)}\n"
+        for route in ([], ["--oracle"], ["--both"]):
+            assert _run([*argv, *route, "--normalized"]) == (0, expected, "")
 
 
 def test_bracket_json_payload():
@@ -238,6 +250,15 @@ def test_oracle_cap_reported_as_input_error():
     assert "bracket_via_tl" in err
     code, _, _ = _run(["bracket", "--strands", "2", "--word", word])
     assert code == 0
+
+
+def test_tl_state_cap_reported_as_input_error(monkeypatch):
+    monkeypatch.setattr(tl_module, "STATE_MAX_DIAGRAMS", 10)
+    word = ["--strands", "6", "--word", "1 2 3 4 5 1 2 3 4 5"]
+    for command in ("bracket", "jones"):
+        code, out, err = _run([command, *word])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "exceeds 10 diagrams" in err
 
 
 def test_installed_console_script():

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+import tlbraid.tl as tl_module
 from tlbraid import (
     BraidWord,
     LaurentPoly,
     PlanarPairing,
     TLElement,
+    bracket_via_tl,
     delta,
     enumerate_pairings,
     markov_trace,
@@ -218,3 +220,65 @@ def test_element_json_is_canonically_ordered():
     assert data["n"] == 2
     partners = [term[0]["partner"] for term in data["terms"]]
     assert partners == sorted(partners)
+
+
+def _general_fold(word):
+    """The braid word's image as an explicit left fold of TLElement products."""
+    n = word.strands
+    acc = TLElement.identity(n)
+    for ell in word.letters:
+        s = 1 if ell > 0 else -1
+        acc = acc * TLElement(
+            n,
+            {
+                PlanarPairing.identity(n): LaurentPoly.monomial(1, s),
+                PlanarPairing.generator(n, abs(ell)): LaurentPoly.monomial(1, -s),
+            },
+        )
+    return acc
+
+
+def test_fused_engine_matches_general_fold_past_oracle_cap():
+    # Past the state-sum oracle's 24 letters, the general product is the
+    # only other exact reference.
+    rng = random.Random(77)
+    for n in (3, 3, 4, 4, 5, 6):
+        length = rng.randint(25, 80)
+        word = BraidWord(
+            n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
+        )
+        folded = _general_fold(word)
+        assert rep_braid_word(word) == folded
+        assert bracket_via_tl(word) == markov_trace(folded)
+
+
+def test_repeat_word_makes_no_compositions(monkeypatch):
+    monkeypatch.setattr(tl_module, "_TABLES", {})
+    calls = []
+    compose = PlanarPairing.compose
+
+    def counting(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(PlanarPairing, "compose", counting)
+    n = 5
+    word = BraidWord(n, (1, 2, -3, 4, 2, 1, -4, 3, 3, 2, -1, 4) * 3)
+    first = bracket_via_tl(word)
+    catalan = math.comb(2 * n, n) // (n + 1)
+    assert 0 < len(calls) <= catalan * (n - 1)
+    calls.clear()
+    assert bracket_via_tl(word) == first
+    assert calls == []
+
+
+def test_state_cap_raises(monkeypatch):
+    monkeypatch.setattr(tl_module, "STATE_MAX_DIAGRAMS", 10)
+    word = BraidWord(6, (1, 2, 3, 4, 5) * 2)
+    with pytest.raises(ValueError, match="exceeds 10 diagrams"):
+        bracket_via_tl(word)
+    with pytest.raises(ValueError, match="exceeds 10 diagrams"):
+        rep_braid_word(word)
+    assert bracket_via_tl(BraidWord(6, (1, 3, 5))) == markov_trace(
+        _general_fold(BraidWord(6, (1, 3, 5)))
+    )
