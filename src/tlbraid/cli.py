@@ -32,6 +32,10 @@ from .fibrep import (
 from .laurent import delta, format_jones
 from .tl import TLElement, markov_trace
 
+# Each table row recomputes its dimension, so the table costs O(max^2)
+# big-int additions; f_1001 already has 210 digits.
+DIMS_MAX_N = 1000
+
 _PHASE_RE = re.compile(
     r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$", re.IGNORECASE
 )
@@ -152,8 +156,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    if args.max < 1:
-        raise ValueError("--max must be >= 1")
+    if not 1 <= args.max <= DIMS_MAX_N:
+        raise ValueError(f"--max must be in 1..{DIMS_MAX_N}")
     for n in range(1, args.max + 1):
         print(f"{n} {fib_dim(n)}")
     return 0

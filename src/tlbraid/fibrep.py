@@ -131,21 +131,28 @@ def make_params(
 ) -> ModelParams:
     """Build ModelParams for a given loop value.
 
-    Requires delta^2 >= 1 so b is real. When a_phase is omitted a phase
+    Requires a finite delta with delta^2 >= 1 so b is real, and a finite
+    a_phase and lam when given. When a_phase is omitted a phase
     compatible with delta is chosen; when lam is omitted it defaults to
     conj(A), the exchange eigenvalue convention under which
     delta = lam*(mu - lam) holds at every compatible phase.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta!r}")
     if delta * delta < 1.0:
         raise ValueError("b = sqrt(1 - delta^-2) requires delta^2 >= 1")
     a = 1.0 / delta
     b = math.sqrt(1.0 - a * a)
     if a_phase is None:
         a_phase = compatible_phase(delta)
+    elif not math.isfinite(a_phase):
+        raise ValueError(f"phase must be finite, got {a_phase!r}")
     bracket_a = cmath.exp(1j * a_phase)
     if lam is None:
         lam = bracket_a.conjugate()
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     if abs(abs(lam) - 1.0) > 1e-12:
         raise ValueError("lam must have unit modulus")
     mu = -(lam ** -3)
@@ -323,12 +330,69 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-def _max_abs(values) -> float:
-    worst = 0.0
-    for m in values:
-        if m.size:
-            worst = max(worst, float(np.max(np.abs(m))))
-    return worst
+class _Sparse:
+    """A square matrix as coalesced (row, col, value) arrays sorted by row.
+
+    Duplicate (row, col) entries are summed on construction, so every
+    operand and every product is one entry per position. It supports the
+    few ndarray operators the relation rows of verify_model use.
+    """
+
+    __slots__ = ("dim", "rows", "cols", "vals")
+
+    def __init__(self, dim: int, rows, cols, vals):
+        key = rows * dim + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        self.dim = dim
+        self.rows, self.cols = np.divmod(key[starts], dim)
+        self.vals = np.add.reduceat(vals, starts) if len(starts) else vals
+
+    @classmethod
+    def from_dense(cls, mat) -> "_Sparse":
+        mat = np.asarray(mat)
+        rows, cols = np.nonzero(mat)
+        return cls(len(mat), rows, cols, mat[rows, cols])
+
+    @property
+    def T(self) -> "_Sparse":
+        return _Sparse(self.dim, self.cols, self.rows, self.vals)
+
+    def conj(self) -> "_Sparse":
+        return _Sparse(self.dim, self.rows, self.cols, self.vals.conj())
+
+    def __rmul__(self, scalar) -> "_Sparse":
+        return _Sparse(self.dim, self.rows, self.cols, scalar * self.vals)
+
+    def __add__(self, other: "_Sparse") -> "_Sparse":
+        return _Sparse(
+            self.dim,
+            np.concatenate((self.rows, other.rows)),
+            np.concatenate((self.cols, other.cols)),
+            np.concatenate((self.vals, other.vals)),
+        )
+
+    def __sub__(self, other: "_Sparse") -> "_Sparse":
+        return self + _Sparse(self.dim, other.rows, other.cols, -other.vals)
+
+    def __matmul__(self, other: "_Sparse") -> "_Sparse":
+        # entry (i, k, x) of self meets every entry (k, j, y) of other, which
+        # sit at other's positions ptr[k]:ptr[k+1]
+        ptr = np.searchsorted(other.rows, np.arange(self.dim + 1))
+        counts = np.diff(ptr)[self.cols]
+        ends = np.cumsum(counts)
+        pick = np.repeat(ptr[self.cols] - ends + counts, counts)
+        pick += np.arange(len(pick))
+        return _Sparse(
+            self.dim,
+            np.repeat(self.rows, counts),
+            other.cols[pick],
+            np.repeat(self.vals, counts) * other.vals[pick],
+        )
+
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.vals), initial=0.0))
 
 
 def verify_model(
@@ -336,25 +400,42 @@ def verify_model(
 ) -> VerifyReport:
     """Check every defining relation of the representation at one point.
 
-    Builds U_1 .. U_{n+1} on the length-n space and reports max-entry
-    residuals for the Temperley-Lieb relations, symmetry, unitarity and
-    the braid relations. All residuals pass at delta = +-golden ratio with
-    a compatible phase; a generic delta fails the U_i U_(i+-1) U_i = U_i
-    row, which is the point of running it as a negative control.
+    Builds U_1 .. U_{n+1} on the length-n space with tl_generator_matrix,
+    once each, and reports max-entry residuals for the Temperley-Lieb
+    relations, symmetry, unitarity and the braid relations. The braid
+    generators rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed from the
+    uniform-rule U_i, as in braid_generator_matrix; only under
+    right_end="literal" are those built a second time. Every relation
+    is evaluated as the same matrix expression a dense check would use, but
+    with sparse products on those public generator matrices (each U_i has
+    at most two nonzeros per column), so no dense product is formed. A NaN
+    residual fails its row. All residuals pass at delta = +-golden ratio
+    with a compatible phase; a generic delta fails the U_i U_(i+-1) U_i =
+    U_i row, which is the point of running it as a negative control.
+    Raises ValueError when tol is negative or not finite.
     """
-    us = [tl_generator_matrix(n, i, params, right_end) for i in range(1, n + 2)]
-    rhos = [braid_generator_matrix(n, i, params) for i in range(1, n + 2)]
-    rho_invs = [
-        braid_generator_matrix(n, i, params, inverse=True) for i in range(1, n + 2)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    gens = range(1, n + 2)
+    us = [
+        _Sparse.from_dense(tl_generator_matrix(n, i, params, right_end)) for i in gens
     ]
-    dim = len(us[0])
-    eye = np.eye(dim, dtype=complex)
+    if right_end == _UNIFORM:
+        rho_us = us
+    else:
+        rho_us = [_Sparse.from_dense(tl_generator_matrix(n, i, params)) for i in gens]
+    dim = us[0].dim
+    eye = _Sparse(dim, np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
+    phase = cmath.exp(1j * params.a_phase)
+    rhos = [phase * eye + phase.conjugate() * u for u in rho_us]
+    rho_invs = [phase.conjugate() * eye + phase * u for u in rho_us]
     dlt = params.delta
 
     checks = []
 
     def add(name, residuals):
-        worst = _max_abs(residuals)
+        # np.max, unlike the builtin max, carries a NaN through to the row
+        worst = float(np.max([r.max_abs() for r in residuals], initial=0.0))
         checks.append(RelationCheck(name, worst, worst <= tol))
 
     add("U_i^2 = delta U_i", [u @ u - dlt * u for u in us])

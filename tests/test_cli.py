@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import tlbraid.cli as cli_module
 import tlbraid.tl as tl_module
 from tlbraid import BraidWord, normalized_bracket
 from tlbraid.cli import main, parse_phase
@@ -235,6 +236,46 @@ def test_usage_errors_exit_two():
         code, _, err = _run(argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_non_finite_parameters_exit_two():
+    for argv in (
+        ["fib-verify", "--n", "3", "--delta", "nan"],
+        ["fib-verify", "--n", "3", "--delta", "inf"],
+        ["fib-verify", "--n", "3", "--phase", "nan"],
+        ["verify", "--module", "fib", "--n", "3", "--delta", "nan"],
+        ["fib-matrix", "--n", "2", "--gen", "1", "--delta", "inf"],
+        ["fib-matrix", "--n", "2", "--gen", "1", "--braid", "--phase", "inf"],
+    ):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "finite" in err, argv
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+def test_bad_tol_exits_two(tol):
+    for argv in (
+        ["fib-verify", "--n", "3", f"--tol={tol}"],
+        ["verify", "--module", "fib", "--n", "3", f"--tol={tol}"],
+    ):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "tol" in err, argv
+
+
+def test_dims_cap_rejects_before_any_work(monkeypatch):
+    def no_work(n):
+        raise AssertionError("dims computed a row past its cap check")
+
+    monkeypatch.setattr(cli_module, "fib_dim", no_work)
+    for top in (cli_module.DIMS_MAX_N + 1, 10**9):
+        code, out, err = _run(["dims", "--max", str(top)])
+        assert (code, out) == (2, ""), top
+        assert err.startswith("error:") and str(cli_module.DIMS_MAX_N) in err
+    monkeypatch.undo()
+    code, out, _ = _run(["dims", "--max", str(cli_module.DIMS_MAX_N)])
+    assert code == 0
+    assert len(out.splitlines()) == cli_module.DIMS_MAX_N
 
 
 def test_argparse_errors_exit_two():

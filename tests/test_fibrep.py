@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from tlbraid import (
     tl_generator_matrix,
     verify_model,
 )
+from tlbraid import fibrep
+from tlbraid.fibrep import ModelParams
 
 PHI = GOLDEN_RATIO
 
@@ -80,6 +83,15 @@ def test_params_validation():
         fibonacci_params(2)
     with pytest.raises(ValueError):
         make_params(PHI, lam=2.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            make_params(bad)
+        with pytest.raises(ValueError):
+            make_params(PHI, a_phase=bad)
+        with pytest.raises(ValueError):
+            make_params(PHI, lam=complex(bad, 0.0))
+    with pytest.raises(ValueError):
+        fibonacci_params(1, math.nan)
 
 
 def test_compatible_phase_choices():
@@ -144,6 +156,136 @@ def test_relation_suite_small_sizes():
         for n in range(1, 7):
             report = verify_model(n, p, tol=1e-10)
             assert report.passed, [c for c in report.checks if not c.passed]
+
+
+def _dense_reference(n, params, right_end="uniform"):
+    """(name, residual, passed) rows from dense products on the public
+    generator matrices: the relation suite as verify_model computed it
+    before it switched to sparse products."""
+    us = [tl_generator_matrix(n, i, params, right_end) for i in range(1, n + 2)]
+    rhos = [braid_generator_matrix(n, i, params) for i in range(1, n + 2)]
+    rho_invs = [
+        braid_generator_matrix(n, i, params, inverse=True) for i in range(1, n + 2)
+    ]
+    eye = np.eye(len(us[0]), dtype=complex)
+    dlt = params.delta
+    k = len(us)
+    near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
+    far = [(i, j) for i in range(k) for j in range(i + 2, k)]
+    rows = [
+        ("U_i^2 = delta U_i", [u @ u - dlt * u for u in us]),
+        (
+            "U_i U_j U_i = U_i (|i-j| = 1)",
+            [us[i] @ us[j] @ us[i] - us[i] for i, j in near],
+        ),
+        (
+            "U_i U_j = U_j U_i (|i-j| > 1)",
+            [us[i] @ us[j] - us[j] @ us[i] for i, j in far],
+        ),
+        ("U_i symmetric", [u - u.T for u in us]),
+        ("rho_i unitary", [r @ r.conj().T - eye for r in rhos]),
+        ("rho_i rho_i^-1 = I", [r @ ri - eye for r, ri in zip(rhos, rho_invs)]),
+        (
+            "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
+            [
+                rhos[i] @ rhos[i + 1] @ rhos[i] - rhos[i + 1] @ rhos[i] @ rhos[i + 1]
+                for i in range(k - 1)
+            ],
+        ),
+        (
+            "rho_i rho_j = rho_j rho_i (|i-j| > 1)",
+            [rhos[i] @ rhos[j] - rhos[j] @ rhos[i] for i, j in far],
+        ),
+    ]
+    out = []
+    for name, mats in rows:
+        worst = float(np.max([_maxabs(m) for m in mats], initial=0.0))
+        out.append((name, worst, worst <= 1e-10))
+    return out
+
+
+REFERENCE_POINTS = {
+    "+phi": (partial(fibonacci_params, 1), "uniform"),
+    "-phi": (partial(fibonacci_params, -1), "uniform"),
+    "delta=1.5": (partial(make_params, 1.5), "uniform"),
+    "delta=2.0": (partial(make_params, 2.0), "uniform"),
+    "+phi literal": (partial(fibonacci_params, 1), "literal"),
+}
+
+
+@pytest.mark.parametrize("point", sorted(REFERENCE_POINTS))
+def test_verify_model_matches_dense_reference(point):
+    make, right_end = REFERENCE_POINTS[point]
+    params = make()
+    for n in range(1, 8):
+        report = verify_model(n, params, tol=1e-10, right_end=right_end)
+        expected = _dense_reference(n, params, right_end)
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (name, passed) for name, _, passed in expected
+        ], n
+        for check, (_, residual, _) in zip(report.checks, expected):
+            assert abs(check.residual - residual) <= 1e-14, (n, check.name)
+
+
+@pytest.mark.parametrize("error", [1e-6, math.nan])
+def test_perturbed_generator_fails_its_rows(monkeypatch, error):
+    build = fibrep.tl_generator_matrix
+
+    def perturbed(n, i, params, right_end="uniform"):
+        mat = build(n, i, params, right_end)
+        if i == 3:  # not U_1, so a fold that drops a NaN would miss it
+            rows, cols = np.nonzero(mat - np.diag(np.diag(mat)))
+            mat[rows[0], cols[0]] += error  # one off-diagonal entry
+        return mat
+
+    monkeypatch.setattr(fibrep, "tl_generator_matrix", perturbed)
+    report = verify_model(4, fibonacci_params(), tol=1e-10)
+    failing = {c.name: c.residual for c in report.checks if not c.passed}
+    for name in (
+        "U_i^2 = delta U_i",
+        "U_i U_j U_i = U_i (|i-j| = 1)",
+        "U_i symmetric",
+        "rho_i unitary",
+        "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
+    ):
+        assert name in failing
+        assert math.isnan(failing[name]) == math.isnan(error), name
+    assert not report.passed
+
+
+def test_verify_model_builds_each_generator_once(monkeypatch):
+    calls = []
+    build = fibrep.tl_generator_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fibrep, "tl_generator_matrix", counted)
+    for n in (1, 4, 9):
+        calls.clear()
+        assert verify_model(n, fibonacci_params()).passed
+        assert sorted(calls) == list(range(1, n + 2))
+
+
+def test_nan_residual_fails_its_row():
+    nan = math.nan
+    lam = cmath.exp(-1j * 3 * math.pi / 5)
+    params = ModelParams(
+        delta=nan, a=nan, b=nan, a_phase=3 * math.pi / 5, lam=lam, mu=-(lam**-3)
+    )
+    report = verify_model(3, params)
+    assert not report.passed
+    for check in report.checks:
+        assert math.isnan(check.residual) and not check.passed, check.name
+
+
+def test_verify_model_rejects_bad_tol():
+    p = fibonacci_params()
+    for tol in (math.nan, math.inf, -1e-10):
+        with pytest.raises(ValueError):
+            verify_model(2, p, tol=tol)
+    assert verify_model(2, p, tol=0.0).tol == 0.0
 
 
 def test_negative_control_isolates_jones_relation():

@@ -1,9 +1,19 @@
-"""Property tests: invariances of the bracket that the mathematics guarantees."""
+"""Property tests: invariances of the bracket that the mathematics guarantees,
+and JSON round trips of the exact types."""
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlbraid import BraidWord, bracket_via_tl, normalized_bracket
+from tlbraid import (
+    BraidWord,
+    LaurentPoly,
+    PlanarPairing,
+    bracket_via_tl,
+    enumerate_pairings,
+    normalized_bracket,
+)
 
 # Small words keep the whole module within a few seconds; derandomized so
 # every run checks the same examples.
@@ -62,3 +72,33 @@ def test_braid_relation(word, data):
     lhs = _splice(word, pos, (i, i + 1, i))
     rhs = _splice(word, pos, (i + 1, i, i + 1))
     assert bracket_via_tl(lhs) == bracket_via_tl(rhs)
+
+
+@small
+@given(braid_words())
+def test_mirror_inverts_variable(word):
+    mirror = BraidWord(word.strands, tuple(-x for x in word.letters))
+    assert bracket_via_tl(mirror) == bracket_via_tl(word).invert_variable()
+
+
+def _through_json(value):
+    return json.loads(json.dumps(value.to_json()))
+
+
+@small
+@given(st.dictionaries(st.integers(-60, 60), st.integers(-(2**80), 2**80)))
+def test_laurent_poly_json_round_trip(terms):
+    poly = LaurentPoly(terms)
+    assert LaurentPoly.from_json(_through_json(poly)) == poly
+
+
+@small
+@given(braid_words())
+def test_braid_word_json_round_trip(word):
+    assert BraidWord.from_json(_through_json(word)) == word
+
+
+@small
+@given(st.integers(1, 5).flatmap(lambda n: st.sampled_from(enumerate_pairings(n))))
+def test_planar_pairing_json_round_trip(pairing):
+    assert PlanarPairing.from_json(_through_json(pairing)) == pairing
