@@ -3,9 +3,12 @@
 The production path rewrites the braid word in the Temperley-Lieb algebra
 and closes it with the Markov trace, in one pass of the fused state-vector
 engine of tl.trace_braid_word. The oracle path enumerates all 2^N
-crossing smoothings of the closed diagram and counts loops directly with
-an arc-segment walk; it never touches the diagram algebra, so agreement
-between the two is a real cross-check rather than a tautology.
+crossing smoothings of the closed diagram (Kauffman's state model) and
+counts each state's loops directly: the 2N arcs between crossings are
+vertices, each smoothing joins them in pairs, and the loops are the
+connected components plus the strand positions no crossing touches. It
+never touches the diagram algebra, so agreement between the two is a real
+cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ from .laurent import LaurentPoly, delta, jones_substitute
 from .tl import trace_braid_word
 
 STATE_SUM_MAX_LETTERS = 24
+# Rows per block of partial states; a block that would grow past this goes
+# on as two halves, depth first, so memory stays bounded for any N.
+_STATE_SUM_BLOCK_ROWS = 1 << 12
 
 
 class StateSumCapError(ValueError):
@@ -31,6 +37,14 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
     smoothing (the opposite weight); each of the 2^N states contributes its
     weight product times delta^(loops - 1). Use bracket_via_tl for words
     past the cap.
+
+    A state's loops are counted as components of a graph on the 2N static
+    arcs: at each crossing the strand-preserving smoothing joins the NW arc
+    to the SW arc and NE to SE, the cup-cap smoothing joins NW to NE and SW
+    to SE. States are enumerated in numpy blocks that share the joins of a
+    common prefix of crossings, but every state keeps its own row to the
+    end -- states are never merged by connectivity, which would turn the
+    oracle into the transfer matrix of the TL route.
     """
     n, letters = word.strands, word.letters
     num = len(letters)
@@ -42,61 +56,78 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
     if num == 0:
         return delta() ** (n - 1)
 
-    # Ports 4c..4c+3 are crossing c's NW, NE, SW, SE stubs. Static arcs wire
-    # consecutive crossings on each strand position together, wrapping
-    # bottom-to-top through the closure; positions no crossing touches are
-    # standalone circles in every state.
+    # Ports 4c..4c+3 are crossing c's NW, NE, SW, SE stubs. Static arc k
+    # joins a crossing's bottom stub to the next top stub at the same strand
+    # position, wrapping bottom-to-top through the closure; positions no
+    # crossing touches are standalone circles in every state.
     touched: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for c, ell in enumerate(letters):
         a = abs(ell) - 1
         touched[a].append((c, 0))
         touched[a + 1].append((c, 1))
     free_loops = sum(1 for events in touched if not events)
-    static = [0] * (4 * num)
+    arc = [0] * (4 * num)
+    arcs = 0
     for events in touched:
-        if not events:
-            continue
         for (c1, s1), (c2, s2) in zip(events, events[1:] + events[:1]):
-            static[4 * c1 + 2 + s1] = 4 * c2 + s2
-            static[4 * c2 + s2] = 4 * c1 + 2 + s1
+            arc[4 * c1 + 2 + s1] = arc[4 * c2 + s2] = arcs
+            arcs += 1
 
-    signs = [1 if ell > 0 else -1 for ell in letters]
-    counts: dict[tuple[int, int], int] = {}
-    match = [0] * (4 * num)
-    for state in range(1 << num):
-        exponent = 0
-        for c in range(num):
-            base = 4 * c
-            if (state >> c) & 1:  # cup-cap smoothing
-                match[base] = base + 1
-                match[base + 1] = base
-                match[base + 2] = base + 3
-                match[base + 3] = base + 2
-                exponent -= signs[c]
-            else:  # strand-preserving smoothing
-                match[base] = base + 2
-                match[base + 2] = base
-                match[base + 1] = base + 3
-                match[base + 3] = base + 1
-                exponent += signs[c]
-        loops = free_loops
-        seen = [False] * (4 * num)
-        for start in range(4 * num):
-            if seen[start]:
-                continue
-            loops += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                y = match[x]
-                seen[y] = True
-                x = static[y]
-        key = (exponent, loops)
-        counts[key] = counts.get(key, 0) + 1
+    import numpy as np
 
+    # Each row of a block is one partial state: a component label per live
+    # arc, the component count and the exponent of A so far. An arc's
+    # column is dropped after the last crossing that touches it, since no
+    # later join reads its label.
+    last = [0] * arcs
+    for port, k in enumerate(arc):
+        last[k] = port // 4
+    live = list(range(arcs))
+    steps = []
+    for c, ell in enumerate(letters):
+        col = {k: i for i, k in enumerate(live)}
+        nw, ne, sw, se = (col[k] for k in arc[4 * c : 4 * c + 4])
+        sign = 1 if ell > 0 else -1
+        kept = [i for i, k in enumerate(live) if last[k] > c]
+        live = [live[i] for i in kept]
+        smoothings = ((sign, ((nw, sw), (ne, se))), (-sign, ((nw, ne), (sw, se))))
+        steps.append((smoothings, np.array(kept, dtype=np.intp)))
+
+    def smooth(labels, comps, joins, kept):
+        # joining arcs a and b relabels b's component with a's label
+        for a, b in joins:
+            la, lb = labels[:, a : a + 1], labels[:, b : b + 1]
+            comps = comps - (la[:, 0] != lb[:, 0])
+            labels = np.where(labels == lb, la, labels)
+        return labels[:, kept], comps
+
+    hist = np.zeros((2 * num + 1) * (arcs + 1), dtype=np.int64)
+    first = (np.arange(arcs, dtype=np.int8)[None, :], np.array([arcs]), np.array([0]))
+    stack = [(0, *first)]
+    while stack:
+        c, labels, comps, exps = stack.pop()
+        if c == num:
+            keys = (exps + num) * (arcs + 1) + comps
+            hist += np.bincount(keys, minlength=hist.size)
+            continue
+        smoothings, kept = steps[c]
+        halves = [
+            (*smooth(labels, comps, joins, kept), exps + shift)
+            for shift, joins in smoothings
+        ]
+        if 2 * len(comps) <= _STATE_SUM_BLOCK_ROWS:
+            halves = [tuple(np.concatenate(part) for part in zip(*halves))]
+        stack.extend((c + 1, *half) for half in halves)
+
+    # ascending keys are ascending (exponent, loops) pairs
     total = LaurentPoly.zero()
-    for (exponent, loops), count in sorted(counts.items()):
-        total = total + LaurentPoly.monomial(count, exponent) * (delta() ** (loops - 1))
+    for key in np.flatnonzero(hist).tolist():
+        shifted, components = divmod(key, arcs + 1)
+        loops = free_loops + components
+        count = int(hist[key])
+        total = total + LaurentPoly.monomial(count, shifted - num) * (
+            delta() ** (loops - 1)
+        )
     return total
 
 

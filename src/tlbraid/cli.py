@@ -42,7 +42,11 @@ _PHASE_RE = re.compile(
 
 
 def parse_phase(text: str) -> float:
-    """Accept decimal radians or literal multiples of pi like 3pi/5, -pi/2."""
+    """Accept decimal radians or literal multiples of pi like 3pi/5, -pi/2.
+
+    Raises ValueError for anything else, a zero denominator, or a phase
+    that is not finite (nan, inf, or a literal that overflows).
+    """
     s = text.strip()
     m = _PHASE_RE.match(s)
     if m:
@@ -54,11 +58,19 @@ def parse_phase(text: str) -> float:
         else:
             num = float(num_text)
         den = float(den_text) if den_text else 1.0
-        return num * math.pi / den
-    try:
-        return float(s)
-    except ValueError:
-        raise ValueError(f"bad phase {text!r}: use radians or a pi literal") from None
+        if den == 0:
+            raise ValueError(f"bad phase {text!r}: zero denominator")
+        theta = num * math.pi / den
+    else:
+        try:
+            theta = float(s)
+        except ValueError:
+            raise ValueError(
+                f"bad phase {text!r}: use radians or a pi literal"
+            ) from None
+    if not math.isfinite(theta):
+        raise ValueError(f"bad phase {text!r}: phase must be finite")
+    return theta
 
 
 def _fmt_float(x: float) -> str:

@@ -412,8 +412,11 @@ def verify_model(
     residual fails its row. All residuals pass at delta = +-golden ratio
     with a compatible phase; a generic delta fails the U_i U_(i+-1) U_i =
     U_i row, which is the point of running it as a negative control.
-    Raises ValueError when tol is negative or not finite.
+    Raises ValueError when n is outside 1..MATRIX_MAX_N or tol is
+    negative or not finite.
     """
+    if not 1 <= n <= MATRIX_MAX_N:
+        raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     gens = range(1, n + 2)

@@ -1,5 +1,7 @@
 """Bracket and Jones polynomials: axioms, frozen values, dual-path checks."""
 
+import functools
+import importlib
 import itertools
 import random
 
@@ -8,6 +10,7 @@ import pytest
 from tlbraid import (
     BraidWord,
     LaurentPoly,
+    PlanarPairing,
     StateSumCapError,
     bracket,
     bracket_state_sum,
@@ -143,3 +146,128 @@ def test_oracle_cap_points_at_tl_path():
     assert "bracket_via_tl" in str(err.value)
     # the algebra path has no such cap
     assert bracket_via_tl(w) == bracket_via_tl(w)
+
+
+# ------------------------------------------------- independent oracle checks
+
+# the package's re-exported function `bracket` shadows the module attribute
+BRACKET_MODULE = importlib.import_module("tlbraid.bracket")
+
+
+def _reference_state_sum(word: BraidWord) -> LaurentPoly:
+    """Reference oracle, one state at a time: for each of the 2^N
+    smoothings, wire the 4N crossing ports and walk every loop in Python."""
+    n, letters = word.strands, word.letters
+    num = len(letters)
+    if num == 0:
+        return delta() ** (n - 1)
+    touched = [[] for _ in range(n)]
+    for c, ell in enumerate(letters):
+        a = abs(ell) - 1
+        touched[a].append((c, 0))
+        touched[a + 1].append((c, 1))
+    free_loops = sum(1 for events in touched if not events)
+    static = [0] * (4 * num)
+    for events in touched:
+        if not events:
+            continue
+        for (c1, s1), (c2, s2) in zip(events, events[1:] + events[:1]):
+            static[4 * c1 + 2 + s1] = 4 * c2 + s2
+            static[4 * c2 + s2] = 4 * c1 + 2 + s1
+
+    signs = [1 if ell > 0 else -1 for ell in letters]
+    counts = {}
+    match = [0] * (4 * num)
+    for state in range(1 << num):
+        exponent = 0
+        for c in range(num):
+            base = 4 * c
+            if (state >> c) & 1:  # cup-cap smoothing
+                match[base] = base + 1
+                match[base + 1] = base
+                match[base + 2] = base + 3
+                match[base + 3] = base + 2
+                exponent -= signs[c]
+            else:  # strand-preserving smoothing
+                match[base] = base + 2
+                match[base + 2] = base
+                match[base + 1] = base + 3
+                match[base + 3] = base + 1
+                exponent += signs[c]
+        loops = free_loops
+        seen = [False] * (4 * num)
+        for start in range(4 * num):
+            if seen[start]:
+                continue
+            loops += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                y = match[x]
+                seen[y] = True
+                x = static[y]
+        key = (exponent, loops)
+        counts[key] = counts.get(key, 0) + 1
+
+    total = LaurentPoly.zero()
+    for (exponent, loops), count in counts.items():
+        total = total + LaurentPoly.monomial(count, exponent) * _delta_power(loops - 1)
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _delta_power(k: int) -> LaurentPoly:
+    return delta() ** k
+
+
+def _random_words(seed, count, max_strands, max_letters):
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        n = rng.randint(2, max_strands)
+        k = rng.randint(0, max_letters)
+        words.append(
+            BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1)
+                               for _ in range(k)))
+        )
+    return words
+
+
+def test_oracle_matches_reference_walk_exhaustively():
+    # every word on 2 strands with <= 10 letters, on 3 strands with <= 5
+    for strands, letters, max_len in ((2, (1, -1), 10), (3, (1, -1, 2, -2), 5)):
+        for length in range(max_len + 1):
+            for word in itertools.product(letters, repeat=length):
+                w = BraidWord(strands, word)
+                assert bracket_state_sum(w) == _reference_state_sum(w), w
+
+
+def test_oracle_matches_reference_walk_random():
+    for w in _random_words(515, 60, max_strands=7, max_letters=14):
+        assert bracket_state_sum(w) == _reference_state_sum(w), w
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_depth_first_blocks_give_identical_results(monkeypatch, rows):
+    words = _random_words(77, 40, max_strands=6, max_letters=12)
+    expected = [bracket_state_sum(w) for w in words]
+    monkeypatch.setattr(BRACKET_MODULE, "_STATE_SUM_BLOCK_ROWS", rows)
+    assert [bracket_state_sum(w) for w in words] == expected
+
+
+def test_oracle_needs_no_diagram_algebra(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the state sum reached the diagram algebra")
+
+    monkeypatch.setattr(BRACKET_MODULE, "trace_braid_word", forbidden)
+    monkeypatch.setattr(PlanarPairing, "compose", forbidden)
+    assert bracket_state_sum(FIGURE_EIGHT) == LaurentPoly(
+        {-8: 1, -4: -1, 0: 1, 4: -1, 8: 1}
+    )
+
+
+def test_oracle_long_word_against_tl_route():
+    # 2^20 states; the 25-letter cap is checked by test_oracle_cap_points_at_tl_path
+    rng = random.Random(20)
+    w = BraidWord(5, tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(20)))
+    assert bracket_state_sum(w) == bracket_via_tl(w)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tlbraid import BraidWord, parse_braid
+from tlbraid.braid import BRAID_MAX_STRANDS
 
 
 def _random_word(rng, max_strands=5, max_len=10):
@@ -48,6 +49,18 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (0,))
     assert BraidWord(1, ()).strands == 1
+
+
+def test_strand_cap():
+    cap = BRAID_MAX_STRANDS
+    assert BraidWord(cap, (cap - 1,)).strands == cap
+    assert parse_braid("1", cap).strands == cap
+    for strands in (cap + 1, 3000, 10**18):
+        with pytest.raises(ValueError) as err:
+            BraidWord(strands, ())
+        assert str(cap) in str(err.value)
+        with pytest.raises(ValueError):
+            parse_braid("1", strands)
 
 
 def test_writhe():

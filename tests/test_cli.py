@@ -16,6 +16,7 @@ import pytest
 import tlbraid.cli as cli_module
 import tlbraid.tl as tl_module
 from tlbraid import BraidWord, normalized_bracket
+from tlbraid.braid import BRAID_MAX_STRANDS
 from tlbraid.cli import main, parse_phase
 
 TREFOIL = ["--strands", "2", "--word", "1 1 1"]
@@ -37,8 +38,9 @@ def test_parse_phase_forms():
     assert parse_phase("PI") == pytest.approx(math.pi)
     assert parse_phase("0.75") == 0.75
     assert parse_phase(" 1.5pi ") == pytest.approx(1.5 * math.pi)
-    with pytest.raises(ValueError):
-        parse_phase("tau/2")
+    for text in ("tau/2", "nan", "inf", "-Infinity", "1e400", "9" * 400 + "pi", "pi/0"):
+        with pytest.raises(ValueError):
+            parse_phase(text)
 
 
 def test_bracket_frozen_output():
@@ -231,7 +233,10 @@ def test_usage_errors_exit_two():
         ["fib-matrix", "--n", "0", "--gen", "1"],
         ["fib-matrix", "--n", "1", "--gen", "5"],
         ["fib-verify", "--n", "2", "--delta", "0.3"],
+        ["fib-verify", "--n=-1"],
+        ["verify", "--module", "fib", "--n=-3"],
         ["eval", "--strands", "2", "--word", "1", "--phase", "nope"],
+        ["eval", "--strands", "2", "--word", "1", "--phase", "pi/0", "--json"],
     ):
         code, _, err = _run(argv)
         assert code == 2, argv
@@ -246,6 +251,9 @@ def test_non_finite_parameters_exit_two():
         ["verify", "--module", "fib", "--n", "3", "--delta", "nan"],
         ["fib-matrix", "--n", "2", "--gen", "1", "--delta", "inf"],
         ["fib-matrix", "--n", "2", "--gen", "1", "--braid", "--phase", "inf"],
+        ["eval", *TREFOIL, "--phase", "nan"],
+        ["eval", *TREFOIL, "--phase=-inf", "--json"],
+        ["eval", *TREFOIL, "--phase", "1e400", "--normalized", "--json"],
     ):
         code, out, err = _run(argv)
         assert (code, out) == (2, ""), argv
@@ -276,6 +284,27 @@ def test_dims_cap_rejects_before_any_work(monkeypatch):
     code, out, _ = _run(["dims", "--max", str(cli_module.DIMS_MAX_N)])
     assert code == 0
     assert len(out.splitlines()) == cli_module.DIMS_MAX_N
+
+
+def test_strand_cap_rejects_before_any_work(monkeypatch):
+    def no_work(word):
+        raise AssertionError("a bracket route ran past the strand cap")
+
+    for name in (
+        "bracket_via_tl", "bracket_state_sum", "jones_polynomial", "normalized_bracket"
+    ):
+        monkeypatch.setattr(cli_module, name, no_work)
+    strands = str(BRAID_MAX_STRANDS + 1)
+    for argv in (
+        ["bracket", "--strands", strands, "--word", "1"],
+        ["bracket", "--strands", strands, "--word", "1", "--oracle"],
+        ["bracket", "--strands", "3000", "--word", "1", "--both"],
+        ["jones", "--strands", "3000", "--word", "1"],
+        ["eval", "--strands", "3000", "--word", "", "--phase", "pi/5"],
+    ):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and str(BRAID_MAX_STRANDS) in err, argv
 
 
 def test_argparse_errors_exit_two():

@@ -288,6 +288,14 @@ def test_verify_model_rejects_bad_tol():
     assert verify_model(2, p, tol=0.0).tol == 0.0
 
 
+def test_verify_model_rejects_bad_n():
+    p = fibonacci_params()
+    for n in (-1, 0, fibrep.MATRIX_MAX_N + 1):
+        with pytest.raises(ValueError) as err:
+            verify_model(n, p)
+        assert str(fibrep.MATRIX_MAX_N) in str(err.value)
+
+
 def test_negative_control_isolates_jones_relation():
     report = verify_model(4, make_params(2.0), tol=1e-10)
     failing = {c.name for c in report.checks if not c.passed}

@@ -1,6 +1,8 @@
 """Property tests: invariances of the bracket that the mathematics guarantees,
-and JSON round trips of the exact types."""
+JSON round trips of the exact types, and fuzzed command lines."""
 
+import contextlib
+import io
 import json
 
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from tlbraid import (
     enumerate_pairings,
     normalized_bracket,
 )
+from tlbraid.braid import BRAID_MAX_STRANDS
+from tlbraid.cli import main
 
 # Small words keep the whole module within a few seconds; derandomized so
 # every run checks the same examples.
@@ -102,3 +106,85 @@ def test_braid_word_json_round_trip(word):
 @given(st.integers(1, 5).flatmap(lambda n: st.sampled_from(enumerate_pairings(n))))
 def test_planar_pairing_json_round_trip(pairing):
     assert PlanarPairing.from_json(_through_json(pairing)) == pairing
+
+
+# Fuzzed command lines. Sizes stay where every command answers in well under
+# a second: words have at most 14 letters (the state sum enumerates 2^14
+# states), in-range strand counts stay small, and out-of-range ones go past
+# the strand cap, which refuses them before any work.
+FUZZ_MAX_LETTERS = 14
+
+_reals = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["1.5", "-1.5", "0", "2", "1e400", "x", ""]),
+)
+_letters = st.one_of(
+    st.sampled_from(["1", "-1", "2", "-2"]),
+    st.one_of(st.integers(-7, 7).map(str), st.sampled_from(["x", "1.5", "+"])),
+)
+_VALUES = {
+    "--strands": st.one_of(
+        st.integers(1, 6), st.integers(-2, 0), st.integers(BRAID_MAX_STRANDS + 1, 10**12)
+    ).map(str),
+    "--word": st.lists(_letters, max_size=FUZZ_MAX_LETTERS).flatmap(
+        lambda tokens: st.sampled_from((" ".join(tokens), ",".join(tokens)))
+    ),
+    "--phase": st.one_of(
+        _reals,
+        st.sampled_from(["3pi/5", "-pi/2", "pi/0", "2*pi", ".pi", "9" * 400 + "pi"]),
+    ),
+    "--max": st.one_of(st.integers(-2, 40), st.integers(10**3, 10**12)).map(str),
+    "--n": st.integers(-2, 13).map(str),
+    "--gen": st.integers(-2, 15).map(str),
+    "--delta": _reals,
+    "--tol": _reals,
+    "--delta-sign": st.sampled_from(["+", "-", "*"]),
+    "--right-end": st.sampled_from(["uniform", "literal", "sideways"]),
+    "--module": st.sampled_from(["tl", "fib", "other"]),
+}
+_BRAID = ("--strands", "--word")
+_PARAMS = ("--delta-sign", "--delta", "--phase", "--right-end")
+# command -> (options it requires, options it takes besides)
+_COMMANDS = {
+    "bracket": (_BRAID, ("--normalized", "--oracle", "--both", "--json")),
+    "jones": (_BRAID, ("--json",)),
+    "eval": (_BRAID + ("--phase",), ("--normalized", "--json")),
+    "dims": (("--max",), ()),
+    "fib-matrix": (("--n", "--gen"), ("--braid", "--json") + _PARAMS),
+    "fib-verify": (("--n",), ("--tol",) + _PARAMS),
+    "verify": (("--module", "--n"), ("--tol",) + _PARAMS),
+    "no-such-command": ((), ("--json",)),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    options = list(required)
+    if optional:
+        options += draw(st.lists(st.sampled_from(optional), unique=True))
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        if option in _VALUES:
+            argv.append(f"{option}={draw(_VALUES[option])}")
+        else:
+            argv.append(option)
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0 and "--json" in argv:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
