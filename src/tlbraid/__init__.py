@@ -6,7 +6,6 @@ from .braid import BraidWord, parse_braid
 from .bracket import (
     ChiralityCertificate,
     StateSumCapError,
-    bracket,
     bracket_state_sum,
     bracket_via_tl,
     chirality_certificate,
@@ -60,7 +59,6 @@ __all__ = [
     "TLElement",
     "ThreeStrandFamily",
     "VerifyReport",
-    "bracket",
     "bracket_state_sum",
     "bracket_via_tl",
     "braid_generator_matrix",

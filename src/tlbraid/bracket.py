@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .laurent import LaurentPoly, delta, jones_substitute
+from .laurent import LaurentPoly, delta_power, jones_substitute
 from .tl import trace_braid_word
 
 STATE_SUM_MAX_LETTERS = 24
@@ -54,7 +54,7 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
             f"{STATE_SUM_MAX_LETTERS} letters -- use bracket_via_tl instead"
         )
     if num == 0:
-        return delta() ** (n - 1)
+        return delta_power(n - 1)
 
     # Ports 4c..4c+3 are crossing c's NW, NE, SW, SE stubs. Static arc k
     # joins a crossing's bottom stub to the next top stub at the same strand
@@ -119,15 +119,13 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
             halves = [tuple(np.concatenate(part) for part in zip(*halves))]
         stack.extend((c + 1, *half) for half in halves)
 
-    # ascending keys are ascending (exponent, loops) pairs
+    # one polynomial per component count, times its delta power
+    counts = hist.reshape(2 * num + 1, arcs + 1)
     total = LaurentPoly.zero()
-    for key in np.flatnonzero(hist).tolist():
-        shifted, components = divmod(key, arcs + 1)
-        loops = free_loops + components
-        count = int(hist[key])
-        total = total + LaurentPoly.monomial(count, shifted - num) * (
-            delta() ** (loops - 1)
-        )
+    for components in np.flatnonzero(counts.any(axis=0)).tolist():
+        column = counts[:, components].tolist()
+        poly = LaurentPoly({s - num: c for s, c in enumerate(column) if c})
+        total = total + poly * delta_power(free_loops + components - 1)
     return total
 
 
@@ -138,11 +136,6 @@ def bracket_via_tl(word: BraidWord) -> LaurentPoly:
     tl.STATE_MAX_DIAGRAMS diagrams.
     """
     return trace_braid_word(word)
-
-
-def bracket(word: BraidWord) -> LaurentPoly:
-    """Bracket polynomial of the braid closure (Temperley-Lieb path)."""
-    return bracket_via_tl(word)
 
 
 def writhe_normalize(word: BraidWord, poly: LaurentPoly) -> LaurentPoly:

@@ -9,6 +9,8 @@ and values can be shared freely between threads.
 from __future__ import annotations
 
 import cmath
+import math
+import threading
 
 
 class LaurentPoly:
@@ -124,10 +126,14 @@ class LaurentPoly:
         return LaurentPoly({-e: c for e, c in self._terms.items()})
 
     def evaluate_phase(self, theta: float) -> complex:
-        """Evaluate at A = e^(i*theta) on the unit circle."""
-        return sum(
-            (c * cmath.exp(1j * theta * e) for e, c in self._terms.items()),
-            complex(0),
+        """Evaluate at A = e^(i*theta) on the unit circle.
+
+        The real and imaginary parts are each summed with math.fsum, so the
+        value depends only on the polynomial, not on its term order.
+        """
+        values = [c * cmath.exp(1j * theta * e) for e, c in self._terms.items()]
+        return complex(
+            math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
         )
 
     def __str__(self):
@@ -158,6 +164,21 @@ class LaurentPoly:
 def delta() -> LaurentPoly:
     """The loop value -A^2 - A^-2 (what a closed circle contributes)."""
     return LaurentPoly({2: -1, -2: -1})
+
+
+_DELTA_POWERS = [LaurentPoly.one()]
+_DELTA_POWERS_LOCK = threading.Lock()
+
+
+def delta_power(k: int) -> LaurentPoly:
+    """delta()**k for k >= 0, cached: each power costs one product, once."""
+    if k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    if k >= len(_DELTA_POWERS):
+        with _DELTA_POWERS_LOCK:  # an entry's index must be its power
+            while len(_DELTA_POWERS) <= k:
+                _DELTA_POWERS.append(_DELTA_POWERS[-1] * delta())
+    return _DELTA_POWERS[k]
 
 
 def jones_substitute(f: LaurentPoly) -> LaurentPoly:

@@ -8,22 +8,29 @@ each closed loop worth a factor of the loop value -A^2 - A^-2.
 
 Braid words take a fused path. Diagrams of each size are interned as ints
 in a lazily filled table that memoizes the right action of every U_i, and
-a word is one pass of updates to a state {diagram id: {exponent: coeff}}:
-the A^(+-1) weights of a letter are exponent shifts, and a trapped loop
-splits a term into -A^(e+2) and -A^(e-2), so no LaurentPoly arithmetic
-runs per letter and coefficients stay exact Python ints. rep_braid_word
-wraps the final state as a TLElement and trace_braid_word closes it into
-the bracket. The general TLElement product and markov_trace serve the
-exact relation suite.
+a word is one pass of updates to a state {diagram id: packed int}. Each
+diagram's Laurent coefficient is packed into one Python int by Kronecker
+substitution: the polynomial is evaluated at 2^B, one B-bit slot per
+exponent, with B = (3^L).bit_length() + 1 for L letters. A letter at most
+triples the state's L1 norm, so no coefficient or sum of coefficients
+outgrows its slot. A letter's A^(+-1) weights are then one big-int shift
+of each moved diagram, a trapped loop is one shift and add, and the work
+runs in C on exact integers. rep_braid_word unpacks every diagram into a
+TLElement; trace_braid_word adds the packed ints per closure loop count
+and unpacks only those sums. A packed int holds (2L + 1) * B bits, so the
+state is capped both in diagrams (STATE_MAX_DIAGRAMS) and in bits
+(STATE_MAX_BITS). The general TLElement product and markov_trace serve
+the exact relation suite.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from typing import Callable
 
 from .braid import BraidWord
-from .laurent import LaurentPoly, delta
+from .laurent import LaurentPoly, delta_power
 
 ENUMERATION_MAX_N = 12
 # Catalan(12): the braid-word state may hold no more diagrams than there are
@@ -31,14 +38,12 @@ ENUMERATION_MAX_N = 12
 STATE_MAX_DIAGRAMS = math.comb(2 * ENUMERATION_MAX_N, ENUMERATION_MAX_N) // (
     ENUMERATION_MAX_N + 1
 )
-
-_DELTA_POWERS = [LaurentPoly.one()]
-
-
-def _delta_power(k: int) -> LaurentPoly:
-    while len(_DELTA_POWERS) <= k:
-        _DELTA_POWERS.append(_DELTA_POWERS[-1] * delta())
-    return _DELTA_POWERS[k]
+# Bits of packed coefficients the state may hold: diagrams times the slot
+# bits of one packed polynomial, (2L + 1) * ((3^L).bit_length() + 1). The
+# state's measured peak memory is 0.9-1.0x this count (7 strands, 400 random
+# letters: 26 MB counted, 24 MB peak), so 2^30 bits bound it near 128 MiB.
+# The benchmark's widest words count under 2^21 bits.
+STATE_MAX_BITS = 1 << 30
 
 
 def _cyclic_position(endpoint: int, n: int) -> int:
@@ -270,7 +275,7 @@ class TLElement:
         for d1, c1 in self._terms.items():
             for d2, c2 in other._terms.items():
                 d, loops = d1.compose(d2)
-                coeff = c1 * c2 * _delta_power(loops)
+                coeff = c1 * c2 * delta_power(loops)
                 acc[d] = acc[d] + coeff if d in acc else coeff
         return TLElement(self.size, acc)
 
@@ -338,62 +343,90 @@ class _DiagramTable:
 _TABLES: dict[int, _DiagramTable] = {}
 
 
-def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, dict[int, int]]]:
-    """The image of a braid word as {diagram id: {exponent: coefficient}}.
+def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callable]:
+    """The image of a braid word as {diagram id: packed polynomial}.
 
     Right-multiplies the identity by A^s*identity + A^-s*U_i for each
-    letter s*i. Raises ValueError once the state holds more than
-    STATE_MAX_DIAGRAMS diagrams.
+    letter s*i. A diagram's coefficient, a Laurent polynomial in A, is
+    packed into one int (Kronecker substitution): slot k, `width` bits
+    wide, holds the coefficient of raw exponent 2*(off - k). Returns the
+    table, the state and the function that unpacks a state value -- or a
+    sum of them -- into {exponent: coefficient}. Raises ValueError once
+    the state holds more than STATE_MAX_DIAGRAMS diagrams or more than
+    STATE_MAX_BITS bits of slots.
     """
-    n = word.strands
+    n, letters = word.strands, word.letters
     table = _TABLES.get(n)
     if table is None:
         table = _TABLES.setdefault(n, _DiagramTable(n))
-    state = {table.identity: {0: 1}}
+    # A letter at most triples the state's L1 norm, which bounds every
+    # coefficient, so a slot of `width` bits holds any coefficient in
+    # [-2^(width-1), 2^(width-1)) and a state sum unpacks exactly.
+    width = (3 ** len(letters)).bit_length() + 1
+    slots = 2 * len(letters) + 1
+    bits = slots * width
+    max_diagrams = min(STATE_MAX_DIAGRAMS, STATE_MAX_BITS // bits)
+    if max_diagrams < 1:
+        raise _cap_error(n, 1, bits)
     # Each letter is A^s * (identity + A^-2s * U_i). The factors A^s add up
     # in shift, so the identity part stays in place and only the U_i part
-    # moves; shift is applied once at the end.
-    shift = 0
-    for ell in word.letters:
+    # moves: one slot up for a positive letter, one down for a negative one
+    # (a trapped loop, delta = -A^2 - A^-2, lands in the slot it left and
+    # two slots on). Starting at slot off, a negative letter finds the
+    # lowest 2 * (negative letters left) slots empty, so >> is exact.
+    off = 2 * sum(1 for ell in letters if ell < 0)
+    shift = len(letters) - off
+    state = {table.identity: 1 << (off * width)}
+    double = 2 * width
+    for ell in letters:
         i = abs(ell)
-        s = 1 if ell > 0 else -1
-        shift += s
-        t = -2 * s
         act = table.act[i - 1]
-        moved: dict[int, dict[int, int]] = {}
-        for d, poly in state.items():
+        moved: dict[int, int] = {}
+        for d, x in state.items():
             target, loops = act[d] or table.fill(i, d)
-            acc = moved.get(target)
-            if loops:  # delta = -A^2 - A^-2
-                if acc is None:
-                    acc = moved[target] = {}
-                for e, c in poly.items():
-                    k = e + t + 2
-                    acc[k] = acc.get(k, 0) - c
-                    k -= 4
-                    acc[k] = acc.get(k, 0) - c
-            elif acc is None:
-                moved[target] = {e + t: c for e, c in poly.items() if c}
+            if ell > 0:
+                x = -(x + (x << double)) if loops else x << width
             else:
-                for e, c in poly.items():
-                    k = e + t
-                    acc[k] = acc.get(k, 0) + c
-        for target, poly in moved.items():
-            acc = state.get(target)
-            if acc is None:
-                state[target] = poly
+                x = -(x + (x >> double)) if loops else x >> width
+            if target in moved:
+                moved[target] += x
             else:
-                for e, c in poly.items():
-                    acc[e] = acc.get(e, 0) + c
-        if len(state) > STATE_MAX_DIAGRAMS:
-            raise ValueError(
-                f"TL state on {n} strands exceeds {STATE_MAX_DIAGRAMS} diagrams "
-                f"(the Catalan({ENUMERATION_MAX_N}) cap)"
-            )
-    final = {
-        d: {e + shift: c for e, c in poly.items() if c} for d, poly in state.items()
-    }
-    return table, final
+                moved[target] = x
+        for target, x in moved.items():
+            if target in state:
+                state[target] += x
+            else:
+                state[target] = x
+        if len(state) > max_diagrams:
+            raise _cap_error(n, len(state), bits)
+
+    # Adding `half` to every slot makes each one a plain base-2^width digit.
+    half = 1 << (width - 1)
+    bias = ((1 << bits) - 1) // ((1 << width) - 1) * half
+    top = 2 * (off - slots + 1) + shift  # final exponent of the top slot
+
+    def unpack(packed: int) -> dict[int, int]:
+        digits = format(packed + bias, "b").zfill(bits)
+        terms = {}
+        for j in range(0, bits, width):
+            c = int(digits[j : j + width], 2) - half
+            if c:
+                terms[top + 2 * j // width] = c
+        return terms
+
+    return table, state, unpack
+
+
+def _cap_error(n: int, diagrams: int, bits: int) -> ValueError:
+    if diagrams > STATE_MAX_DIAGRAMS:
+        return ValueError(
+            f"TL state on {n} strands exceeds {STATE_MAX_DIAGRAMS} diagrams "
+            f"(the Catalan({ENUMERATION_MAX_N}) cap)"
+        )
+    return ValueError(
+        f"TL state on {n} strands exceeds {STATE_MAX_BITS} bits "
+        f"(diagrams: {diagrams}, bits per diagram: {bits})"
+    )
 
 
 def rep_braid_word(word: BraidWord) -> TLElement:
@@ -403,31 +436,31 @@ def rep_braid_word(word: BraidWord) -> TLElement:
     letter to A^-1*identity + A*cupcap; the whole word is the left-to-right
     product. Closing up the result with the Markov trace gives the bracket
     polynomial of the braid closure (trace_braid_word does both at once).
-    Raises ValueError when the state outgrows STATE_MAX_DIAGRAMS diagrams.
+    Raises ValueError when the state outgrows its caps (see _word_state).
     """
-    table, state = _word_state(word)
+    table, state, unpack = _word_state(word)
     diagrams = table.diagrams
     return TLElement(
-        word.strands, {diagrams[d]: LaurentPoly(poly) for d, poly in state.items()}
+        word.strands, {diagrams[d]: LaurentPoly(unpack(x)) for d, x in state.items()}
     )
 
 
 def trace_braid_word(word: BraidWord) -> LaurentPoly:
     """markov_trace(rep_braid_word(word)), without building the TLElement.
 
-    Coefficients are summed per closure loop count first, so delta powers
-    are multiplied in once per distinct count.
+    Packed coefficients are summed per closure loop count first, so only
+    those sums are unpacked and delta powers are multiplied in once per
+    distinct count.
     """
-    table, state = _word_state(word)
+    table, state, unpack = _word_state(word)
     closure = table.closure
-    by_loops: dict[int, dict[int, int]] = {}
-    for d, poly in state.items():
-        acc = by_loops.setdefault(closure[d], {})
-        for e, c in poly.items():
-            acc[e] = acc.get(e, 0) + c
+    by_loops: dict[int, int] = {}
+    for d, x in state.items():
+        loops = closure[d]
+        by_loops[loops] = by_loops.get(loops, 0) + x
     total = LaurentPoly.zero()
-    for loops, poly in by_loops.items():
-        total = total + LaurentPoly(poly) * _delta_power(loops - 1)
+    for loops, x in by_loops.items():
+        total = total + LaurentPoly(unpack(x)) * delta_power(loops - 1)
     return total
 
 
@@ -436,5 +469,5 @@ def markov_trace(element: TLElement) -> LaurentPoly:
     contributes coefficient * delta^(L-1)."""
     total = LaurentPoly.zero()
     for diagram, coeff in element.terms.items():
-        total = total + coeff * _delta_power(diagram.closure_loops() - 1)
+        total = total + coeff * delta_power(diagram.closure_loops() - 1)
     return total

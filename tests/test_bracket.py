@@ -1,18 +1,17 @@
 """Bracket and Jones polynomials: axioms, frozen values, dual-path checks."""
 
 import functools
-import importlib
 import itertools
 import random
 
 import pytest
 
+import tlbraid.bracket as bracket_module
 from tlbraid import (
     BraidWord,
     LaurentPoly,
     PlanarPairing,
     StateSumCapError,
-    bracket,
     bracket_state_sum,
     bracket_via_tl,
     chirality_certificate,
@@ -70,10 +69,6 @@ def test_trefoil_frozen():
     assert normalized_bracket(TREFOIL) == LaurentPoly({-4: 1, -12: 1, -16: -1})
     assert jones_polynomial(TREFOIL) == LaurentPoly({4: 1, 12: 1, 16: -1})
     assert format_jones(jones_polynomial(TREFOIL)) == "1*t^1 + 1*t^3 + -1*t^4"
-
-
-def test_default_bracket_is_tl_path():
-    assert bracket(TREFOIL) == bracket_via_tl(TREFOIL)
 
 
 def test_dual_paths_agree_exhaustively_short_words():
@@ -149,10 +144,6 @@ def test_oracle_cap_points_at_tl_path():
 
 
 # ------------------------------------------------- independent oracle checks
-
-# the package's re-exported function `bracket` shadows the module attribute
-BRACKET_MODULE = importlib.import_module("tlbraid.bracket")
-
 
 def _reference_state_sum(word: BraidWord) -> LaurentPoly:
     """Reference oracle, one state at a time: for each of the 2^N
@@ -251,7 +242,7 @@ def test_oracle_matches_reference_walk_random():
 def test_depth_first_blocks_give_identical_results(monkeypatch, rows):
     words = _random_words(77, 40, max_strands=6, max_letters=12)
     expected = [bracket_state_sum(w) for w in words]
-    monkeypatch.setattr(BRACKET_MODULE, "_STATE_SUM_BLOCK_ROWS", rows)
+    monkeypatch.setattr(bracket_module, "_STATE_SUM_BLOCK_ROWS", rows)
     assert [bracket_state_sum(w) for w in words] == expected
 
 
@@ -259,7 +250,7 @@ def test_oracle_needs_no_diagram_algebra(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the state sum reached the diagram algebra")
 
-    monkeypatch.setattr(BRACKET_MODULE, "trace_braid_word", forbidden)
+    monkeypatch.setattr(bracket_module, "trace_braid_word", forbidden)
     monkeypatch.setattr(PlanarPairing, "compose", forbidden)
     assert bracket_state_sum(FIGURE_EIGHT) == LaurentPoly(
         {-8: 1, -4: -1, 0: 1, 4: -1, 8: 1}

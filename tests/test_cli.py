@@ -334,6 +334,11 @@ def test_tl_state_cap_reported_as_input_error(monkeypatch):
         code, out, err = _run([command, *word])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "exceeds 10 diagrams" in err
+    monkeypatch.setattr(tl_module, "STATE_MAX_BITS", 100)
+    for command in ("bracket", "jones"):
+        code, out, err = _run([command, *word])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "exceeds 100 bits" in err
 
 
 def _console_script(tmp_path):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tlbraid.laurent as laurent_module
 from tlbraid import LaurentPoly, delta, format_jones, jones_substitute
 
 
@@ -83,6 +84,9 @@ def test_evaluate_phase_known_points():
     assert abs(v - phi) < 1e-12
     assert abs(delta().evaluate_phase(math.pi / 4)) < 1e-12
     assert LaurentPoly.one().evaluate_phase(1.234) == 1
+    # exact sum of rounded terms, whatever the term order
+    for terms in ({0: 10**16, 4: 1, 8: -(10**16)}, {8: -(10**16), 4: 1, 0: 10**16}):
+        assert LaurentPoly(terms).evaluate_phase(0.0) == 1
 
 
 def test_evaluate_phase_is_multiplicative():
@@ -134,3 +138,35 @@ def test_format_jones_quarter_powers():
 def test_hashable_and_usable_as_key():
     d = {delta(): "loop"}
     assert d[LaurentPoly({2: -1, -2: -1})] == "loop"
+
+
+def test_delta_power_cache_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    expected = [delta() ** k for k in range(41)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(laurent_module, "_DELTA_POWERS", [LaurentPoly.one()])
+            barrier = threading.Barrier(8)
+            wrong = []
+
+            def worker():
+                barrier.wait()
+                powers = [laurent_module.delta_power(k) for k in range(41)]
+                wrong.extend(k for k in range(41) if powers[k] != expected[k])
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert wrong == []
+            assert laurent_module._DELTA_POWERS == expected
+    finally:
+        sys.setswitchinterval(interval)
+    with pytest.raises(ValueError):
+        laurent_module.delta_power(-1)

@@ -238,18 +238,31 @@ def _general_fold(word):
     return acc
 
 
+def _random_word(rng, n, length, signs=(1, -1)):
+    return BraidWord(
+        n, tuple(rng.choice(signs) * rng.randint(1, n - 1) for _ in range(length))
+    )
+
+
 def test_fused_engine_matches_general_fold_past_oracle_cap():
     # Past the state-sum oracle's 24 letters, the general product is the
-    # only other exact reference.
+    # only other exact reference. The later words move the packed state in
+    # one direction only, use 2 strands, have no letters, or have bracket
+    # coefficients past 2^63.
     rng = random.Random(77)
-    for n in (3, 3, 4, 4, 5, 6):
-        length = rng.randint(25, 80)
-        word = BraidWord(
-            n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length))
-        )
+    words = [_random_word(rng, n, rng.randint(25, 80)) for n in (3, 3, 4, 4, 5, 6)]
+    words += [
+        _random_word(rng, 4, 40, signs=(-1,)),
+        _random_word(rng, 5, 40, signs=(1,)),
+        _random_word(rng, 2, 60),
+        BraidWord(3, ()),
+    ]
+    wide = _random_word(random.Random(1), 4, 400)
+    for word in words + [wide]:
         folded = _general_fold(word)
         assert rep_braid_word(word) == folded
         assert bracket_via_tl(word) == markov_trace(folded)
+    assert max(abs(c) for c in bracket_via_tl(wide).terms.values()) > 2**63
 
 
 def test_repeat_word_makes_no_compositions(monkeypatch):
@@ -282,3 +295,20 @@ def test_state_cap_raises(monkeypatch):
     assert bracket_via_tl(BraidWord(6, (1, 3, 5))) == markov_trace(
         _general_fold(BraidWord(6, (1, 3, 5)))
     )
+    # the bit cap: diagrams times (2L + 1) * ((3^L).bit_length() + 1) bits
+    monkeypatch.undo()
+    bits = (2 * 10 + 1) * ((3**10).bit_length() + 1)
+    _, state, _ = tl_module._word_state(word)
+    cap = len(state) * bits
+    monkeypatch.setattr(tl_module, "STATE_MAX_BITS", cap)
+    assert bracket_via_tl(word) == markov_trace(_general_fold(word))
+    monkeypatch.setattr(tl_module, "STATE_MAX_BITS", cap - 1)
+    with pytest.raises(ValueError, match=f"exceeds {cap - 1} bits"):
+        bracket_via_tl(word)
+    with pytest.raises(ValueError, match=f"exceeds {cap - 1} bits"):
+        rep_braid_word(word)
+    # a word too long for even one diagram stops before its first letter
+    monkeypatch.setattr(tl_module, "STATE_MAX_BITS", bits - 1)
+    monkeypatch.setattr(PlanarPairing, "compose", None)
+    with pytest.raises(ValueError, match="diagrams: 1,"):
+        bracket_via_tl(BraidWord(6, (5,) * 10))
