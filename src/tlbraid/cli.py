@@ -209,10 +209,30 @@ def _print_report(report) -> int:
     return 1
 
 
+def _print_report_json(report) -> int:
+    # strict JSON: a non-finite residual has no JSON number, so it is null
+    payload = {
+        "n": report.n,
+        "delta": report.delta,
+        "tol": report.tol,
+        "passed": report.passed,
+        "checks": [
+            {
+                "name": c.name,
+                "residual": c.residual if math.isfinite(c.residual) else None,
+                "passed": c.passed,
+            }
+            for c in report.checks
+        ],
+    }
+    print(json.dumps(payload, allow_nan=False))
+    return 0 if report.passed else 1
+
+
 def cmd_fib_verify(args) -> int:
     params = _params_from_args(args)
     report = verify_model(args.n, params, tol=args.tol, right_end=args.right_end)
-    return _print_report(report)
+    return _print_report_json(report) if args.json else _print_report(report)
 
 
 def _verify_tl_exact(n: int) -> int:
@@ -277,6 +297,8 @@ def _verify_tl_exact(n: int) -> int:
 
 def cmd_verify(args) -> int:
     if args.module == "tl":
+        if args.json:
+            raise ValueError("--json is only available with --module fib")
         return _verify_tl_exact(args.n)
     return cmd_fib_verify(args)
 
@@ -370,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     _add_params_args(p)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fib_verify)
 
     p = commands.add_parser("verify", help="relation suite (exact tl or numeric fib)")
@@ -377,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     _add_params_args(p)
+    p.add_argument("--json", action="store_true", help="fib module only")
     p.set_defaults(func=cmd_verify)
 
     return parser

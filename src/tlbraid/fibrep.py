@@ -170,6 +170,56 @@ _UNIFORM = "uniform"
 _LITERAL = "literal"
 
 
+@lru_cache(maxsize=None)
+def _fib_states(n: int) -> np.ndarray:
+    """fib_sequences(n) as ints, letter k at bit n-1-k with * = 1.
+
+    Numeric order is the basis order (P < *). Built by the recursion
+    states(n) = states(n-1) ++ (1 << (n-1) | states(n-2)): a string is P
+    followed by any string one letter shorter, or *P followed by any string
+    two letters shorter. The array is cached, so it is read-only.
+    """
+    prev, cur = np.zeros(1, dtype=np.int64), np.arange(2, dtype=np.int64)
+    for k in range(1, n):
+        prev, cur = cur, np.concatenate((cur, (1 << k) | prev))
+    cur.flags.writeable = False
+    return cur
+
+
+def _generator_entries(
+    n: int, i: int, params: ModelParams, right_end: str = _UNIFORM
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of U_i on fib_sequences(n): the entries of
+    tl_generator_matrix, one per position, at most two per column."""
+    if right_end not in (_UNIFORM, _LITERAL):
+        raise ValueError(f"right_end must be {_UNIFORM!r} or {_LITERAL!r}")
+    if not 1 <= n <= MATRIX_MAX_N:
+        raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
+    if not 1 <= i <= n + 1:
+        raise ValueError(f"generator index {i} out of range 1..{n + 1}")
+    states = _fib_states(n)
+    # the padded string "*P" + x + "P" as bits; U_i reads bits n+3-i..n+1-i
+    window = (((2 << (n + 1)) | (states << 1)) >> (n + 1 - i)) & 7
+    star = window == 0b010  # (P, *, P): the neighbors of a star are P
+    if right_end == _LITERAL and i == n + 1:
+        star[:] = False
+    empty = window == 0b000  # (P, P, P)
+    loop = window == 0b101  # (*, P, *)
+    # (*, P, P) and (P, P, *) windows contribute nothing
+    dlt, a, b = params.delta, params.a, params.b
+    dbb = dlt - a  # delta*b^2, via the exact identity delta*(1 - 1/delta^2)
+    diag = np.flatnonzero(star | empty | loop)
+    # star and empty windows never occur at i = 1, where the center is padding
+    flip = np.flatnonzero(star | empty)
+    partner = np.searchsorted(states, states[flip] ^ (1 << (n + 1 - i)))
+    rows = np.concatenate((diag, partner))
+    cols = np.concatenate((diag, flip))
+    vals = np.concatenate(
+        (np.select([star[diag], empty[diag]], [a, dbb], dlt), np.full(len(flip), b))
+    )
+    return rows, cols, vals
+
+
 def tl_generator_matrix(
     n: int, i: int, params: ModelParams, right_end: str = _UNIFORM
 ) -> np.ndarray:
@@ -187,35 +237,14 @@ def tl_generator_matrix(
     the two diagonal rules, so the flanks are never rewritten.
     right_end="literal" instead kills the (P, *, P) window at the last
     position; that variant breaks U^2 = delta*U and is kept purely as a
-    diagnostic.
+    diagnostic. States are held as integer bitmasks (letter k at bit n-1-k,
+    * = 1), so the window is read with shifts and the rewritten state is
+    found by XOR of the center bit and a binary search in the sorted states.
     """
-    if right_end not in (_UNIFORM, _LITERAL):
-        raise ValueError(f"right_end must be {_UNIFORM!r} or {_LITERAL!r}")
-    if not 1 <= n <= MATRIX_MAX_N:
-        raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"generator index {i} out of range 1..{n + 1}")
-    basis = fib_sequences(n)
-    dlt, a, b = params.delta, params.a, params.b
-    dbb = dlt - a  # delta*b^2, via the exact identity delta*(1 - 1/delta^2)
-    mat = np.zeros((len(basis), len(basis)))
-    for col, seq in enumerate(basis.sequences):
-        ext = "*P" + seq + "P"
-        left, center, right = ext[i - 1], ext[i], ext[i + 1]
-        if center == "*":
-            # neighbors of a star are forced to P, so the window is (P,*,P)
-            if right_end == _LITERAL and i == n + 1:
-                continue
-            mat[col, col] += a
-            flipped = seq[: i - 2] + "P" + seq[i - 1 :]
-            mat[basis.index(flipped), col] += b
-        elif left == "P" and right == "P":
-            mat[col, col] += dbb
-            starred = seq[: i - 2] + "*" + seq[i - 1 :]
-            mat[basis.index(starred), col] += b
-        elif left == "*" and right == "*":
-            mat[col, col] += dlt
-        # (*,P,P) and (P,P,*) windows contribute nothing
+    rows, cols, vals = _generator_entries(n, i, params, right_end)
+    dim = fib_dim(n)
+    mat = np.zeros((dim, dim))
+    mat[rows, cols] = vals
     return mat
 
 
@@ -331,33 +360,48 @@ class VerifyReport:
 
 
 class _Sparse:
-    """A square matrix as coalesced (row, col, value) arrays sorted by row.
+    """A square matrix as coalesced (row, col, value) arrays: one entry per
+    position, sorted by row and then column.
 
-    Duplicate (row, col) entries are summed on construction, so every
-    operand and every product is one entry per position. It supports the
-    few ndarray operators the relation rows of verify_model use.
+    The constructor trusts its arrays to be coalesced; coalesce sorts
+    arbitrary triples and sums duplicates. Scalar multiples, conjugates,
+    negations and block-diagonal stacks of coalesced matrices are coalesced
+    as they stand, so only transposes, sums and products pay for the sort.
+    It supports the few ndarray operators the relation rows of verify_model
+    use.
     """
 
     __slots__ = ("dim", "rows", "cols", "vals")
 
     def __init__(self, dim: int, rows, cols, vals):
+        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
+
+    @classmethod
+    def coalesce(cls, dim: int, rows, cols, vals) -> "_Sparse":
         key = rows * dim + cols
         order = np.argsort(key, kind="stable")
         key, vals = key[order], vals[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        self.dim = dim
-        self.rows, self.cols = np.divmod(key[starts], dim)
-        self.vals = np.add.reduceat(vals, starts) if len(starts) else vals
+        fresh = key[1:] != key[:-1]
+        if fresh.all():
+            return cls(dim, rows[order], cols[order], vals)
+        starts = np.concatenate(([0], np.flatnonzero(fresh) + 1))
+        first = order[starts]
+        return cls(dim, rows[first], cols[first], np.add.reduceat(vals, starts))
 
     @classmethod
-    def from_dense(cls, mat) -> "_Sparse":
-        mat = np.asarray(mat)
-        rows, cols = np.nonzero(mat)
-        return cls(len(mat), rows, cols, mat[rows, cols])
+    def stack(cls, blocks) -> "_Sparse":
+        """The block-diagonal matrix of equal-size blocks, in order."""
+        dim = blocks[0].dim
+        return cls(
+            dim * len(blocks),
+            np.concatenate([m.rows + k * dim for k, m in enumerate(blocks)]),
+            np.concatenate([m.cols + k * dim for k, m in enumerate(blocks)]),
+            np.concatenate([m.vals for m in blocks]),
+        )
 
     @property
     def T(self) -> "_Sparse":
-        return _Sparse(self.dim, self.cols, self.rows, self.vals)
+        return _Sparse.coalesce(self.dim, self.cols, self.rows, self.vals)
 
     def conj(self) -> "_Sparse":
         return _Sparse(self.dim, self.rows, self.cols, self.vals.conj())
@@ -365,8 +409,11 @@ class _Sparse:
     def __rmul__(self, scalar) -> "_Sparse":
         return _Sparse(self.dim, self.rows, self.cols, scalar * self.vals)
 
+    def __neg__(self) -> "_Sparse":
+        return _Sparse(self.dim, self.rows, self.cols, -self.vals)
+
     def __add__(self, other: "_Sparse") -> "_Sparse":
-        return _Sparse(
+        return _Sparse.coalesce(
             self.dim,
             np.concatenate((self.rows, other.rows)),
             np.concatenate((self.cols, other.cols)),
@@ -374,7 +421,7 @@ class _Sparse:
         )
 
     def __sub__(self, other: "_Sparse") -> "_Sparse":
-        return self + _Sparse(self.dim, other.rows, other.cols, -other.vals)
+        return self + -other
 
     def __matmul__(self, other: "_Sparse") -> "_Sparse":
         # entry (i, k, x) of self meets every entry (k, j, y) of other, which
@@ -384,7 +431,7 @@ class _Sparse:
         ends = np.cumsum(counts)
         pick = np.repeat(ptr[self.cols] - ends + counts, counts)
         pick += np.arange(len(pick))
-        return _Sparse(
+        return _Sparse.coalesce(
             self.dim,
             np.repeat(self.rows, counts),
             other.cols[pick],
@@ -395,20 +442,32 @@ class _Sparse:
         return float(np.max(np.abs(self.vals), initial=0.0))
 
 
+# Operand tuples per block-diagonal stack in verify_model, chosen by
+# measurement on n = 10..12: one stack per row (up to 55 pairs) ran about
+# 1.2x faster than 8 but raised the peak RSS of a process from about 32 to
+# 47 MB, while 8 stays within 2 MB of one pair per stack and runs about 1.3x
+# faster than it.
+_STACK_PAIRS = 8
+
+
 def verify_model(
     n: int, params: ModelParams, tol: float = 1e-10, right_end: str = _UNIFORM
 ) -> VerifyReport:
     """Check every defining relation of the representation at one point.
 
-    Builds U_1 .. U_{n+1} on the length-n space with tl_generator_matrix,
-    once each, and reports max-entry residuals for the Temperley-Lieb
-    relations, symmetry, unitarity and the braid relations. The braid
-    generators rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed from the
-    uniform-rule U_i, as in braid_generator_matrix; only under
-    right_end="literal" are those built a second time. Every relation
-    is evaluated as the same matrix expression a dense check would use, but
-    with sparse products on those public generator matrices (each U_i has
-    at most two nonzeros per column), so no dense product is formed. A NaN
+    Builds the entries of U_1 .. U_{n+1} on the length-n space, once each,
+    with the integer-state window rule behind tl_generator_matrix, and
+    reports max-entry residuals for the Temperley-Lieb relations, symmetry,
+    unitarity and the braid relations. The braid generators
+    rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed from the uniform-rule
+    U_i, as in braid_generator_matrix; only under right_end="literal" are
+    those built a second time. Every relation is evaluated as the same
+    matrix expression a dense check would use, with sparse products (each
+    U_i has at most two nonzeros per column), so no dense matrix is formed.
+    The operands of a relation row are stacked, up to _STACK_PAIRS tuples at
+    a time, into block-diagonal matrices, and each expression is evaluated
+    once per stack; every entry is still summed in the same order as for a
+    single pair, so the residuals do not depend on the stacking. A NaN
     residual fails its row. All residuals pass at delta = +-golden ratio
     with a compatible phase; a generic delta fails the U_i U_(i+-1) U_i =
     U_i row, which is the point of running it as a negative control.
@@ -419,62 +478,70 @@ def verify_model(
         raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    dim = fib_dim(n)
     gens = range(1, n + 2)
     us = [
-        _Sparse.from_dense(tl_generator_matrix(n, i, params, right_end)) for i in gens
+        _Sparse.coalesce(dim, *_generator_entries(n, i, params, right_end))
+        for i in gens
     ]
     if right_end == _UNIFORM:
         rho_us = us
     else:
-        rho_us = [_Sparse.from_dense(tl_generator_matrix(n, i, params)) for i in gens]
-    dim = us[0].dim
+        rho_us = [
+            _Sparse.coalesce(dim, *_generator_entries(n, i, params)) for i in gens
+        ]
     eye = _Sparse(dim, np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
     phase = cmath.exp(1j * params.a_phase)
     rhos = [phase * eye + phase.conjugate() * u for u in rho_us]
     rho_invs = [phase.conjugate() * eye + phase * u for u in rho_us]
     dlt = params.delta
+    k = len(us)
+    near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
+    far = [(i, j) for i in range(k) for j in range(i + 2, k)]
 
     checks = []
 
-    def add(name, residuals):
+    def add(name, relation, operands):
+        stacks = (
+            map(_Sparse.stack, zip(*operands[s : s + _STACK_PAIRS]))
+            for s in range(0, len(operands), _STACK_PAIRS)
+        )
         # np.max, unlike the builtin max, carries a NaN through to the row
-        worst = float(np.max([r.max_abs() for r in residuals], initial=0.0))
+        worst = float(
+            np.max([relation(*ops).max_abs() for ops in stacks], initial=0.0)
+        )
         checks.append(RelationCheck(name, worst, worst <= tol))
 
-    add("U_i^2 = delta U_i", [u @ u - dlt * u for u in us])
+    add("U_i^2 = delta U_i", lambda u: u @ u - dlt * u, [(u,) for u in us])
     add(
         "U_i U_j U_i = U_i (|i-j| = 1)",
-        [
-            us[i] @ us[j] @ us[i] - us[i]
-            for i in range(len(us))
-            for j in (i - 1, i + 1)
-            if 0 <= j < len(us)
-        ],
+        lambda ui, uj: ui @ uj @ ui - ui,
+        [(us[i], us[j]) for i, j in near],
     )
     add(
         "U_i U_j = U_j U_i (|i-j| > 1)",
-        [
-            us[i] @ us[j] - us[j] @ us[i]
-            for i in range(len(us))
-            for j in range(i + 2, len(us))
-        ],
+        lambda ui, uj: ui @ uj - uj @ ui,
+        [(us[i], us[j]) for i, j in far],
     )
-    add("U_i symmetric", [u - u.T for u in us])
-    add("rho_i unitary", [r @ r.conj().T - eye for r in rhos])
-    add("rho_i rho_i^-1 = I", [r @ ri - eye for r, ri in zip(rhos, rho_invs)])
+    add("U_i symmetric", lambda u: u - u.T, [(u,) for u in us])
+    add(
+        "rho_i unitary",
+        lambda r, e: r @ r.conj().T - e,
+        [(r, eye) for r in rhos],
+    )
+    add(
+        "rho_i rho_i^-1 = I",
+        lambda r, ri, e: r @ ri - e,
+        [(r, ri, eye) for r, ri in zip(rhos, rho_invs)],
+    )
     add(
         "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
-        [
-            rhos[i] @ rhos[i + 1] @ rhos[i] - rhos[i + 1] @ rhos[i] @ rhos[i + 1]
-            for i in range(len(rhos) - 1)
-        ],
+        lambda ri, rj: ri @ rj @ ri - rj @ ri @ rj,
+        [(rhos[i], rhos[i + 1]) for i in range(k - 1)],
     )
     add(
         "rho_i rho_j = rho_j rho_i (|i-j| > 1)",
-        [
-            rhos[i] @ rhos[j] - rhos[j] @ rhos[i]
-            for i in range(len(rhos))
-            for j in range(i + 2, len(rhos))
-        ],
+        lambda ri, rj: ri @ rj - rj @ ri,
+        [(rhos[i], rhos[j]) for i, j in far],
     )
     return VerifyReport(n=n, delta=dlt, tol=tol, checks=tuple(checks))

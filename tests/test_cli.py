@@ -214,6 +214,47 @@ def test_verify_fib_routes_to_numeric_suite():
     assert out.splitlines()[-1] == "all relations hold at tol 1e-10"
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_fib_verify_json_report():
+    code, out, _ = _run(["fib-verify", "--n", "3", "--json"])
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert set(payload) == {"n", "delta", "tol", "passed", "checks"}
+    assert payload["n"] == 3 and payload["tol"] == 1e-10 and payload["passed"]
+    assert payload["delta"] == pytest.approx((1 + math.sqrt(5)) / 2)
+    _, text, _ = _run(["fib-verify", "--n", "3"])
+    lines = text.splitlines()[:-1]
+    assert len(payload["checks"]) == len(lines)
+    for check, line in zip(payload["checks"], lines):
+        assert line.startswith(check["name"] + " ")
+    assert all(c["passed"] and 0.0 <= c["residual"] <= 1e-10 for c in payload["checks"])
+    assert _run(["verify", "--module", "fib", "--n", "3", "--json"]) == (code, out, "")
+
+
+def test_fib_verify_json_failures():
+    code, out, _ = _run(["fib-verify", "--n", "3", "--delta", "2.0", "--json"])
+    assert code == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert not payload["passed"]
+    failing = [c["name"] for c in payload["checks"] if not c["passed"]]
+    assert "U_i U_j U_i = U_i (|i-j| = 1)" in failing
+    # products overflow to inf - inf at this loop value: NaN residuals
+    code, out, _ = _run(["fib-verify", "--n", "3", "--delta", "1e200", "--json"])
+    assert code == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    nulls = [c for c in payload["checks"] if c["residual"] is None]
+    assert nulls and not any(c["passed"] for c in nulls)
+
+
+def test_verify_tl_rejects_json():
+    code, out, err = _run(["verify", "--module", "tl", "--n", "3", "--json"])
+    assert code == 2 and out == ""
+    assert "--module fib" in err
+
+
 def test_repeated_runs_are_byte_identical():
     for argv in (
         ["bracket", *TREFOIL, "--json"],

@@ -26,7 +26,7 @@ from tlbraid import (
     verify_model,
 )
 from tlbraid import fibrep
-from tlbraid.fibrep import ModelParams
+from tlbraid.fibrep import MATRIX_MAX_N, ModelParams, RelationCheck, VerifyReport
 
 PHI = GOLDEN_RATIO
 
@@ -130,6 +130,60 @@ def test_two_label_generator_matrices():
     assert _maxabs(u2[:, basis.index("P*")]) == 0.0  # (P,P,*) window dies
 
 
+def _reference_generator_matrix(n, i, params, right_end="uniform"):
+    """tl_generator_matrix as it was written on strings, before states
+    became integer bitmasks: the independent reference for the builder."""
+    if right_end not in ("uniform", "literal"):
+        raise ValueError("right_end must be 'uniform' or 'literal'")
+    if not 1 <= n <= MATRIX_MAX_N:
+        raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
+    if not 1 <= i <= n + 1:
+        raise ValueError(f"generator index {i} out of range 1..{n + 1}")
+    basis = fib_sequences(n)
+    dlt, a, b = params.delta, params.a, params.b
+    dbb = dlt - a  # delta*b^2, via the exact identity delta*(1 - 1/delta^2)
+    mat = np.zeros((len(basis), len(basis)))
+    for col, seq in enumerate(basis.sequences):
+        ext = "*P" + seq + "P"
+        left, center, right = ext[i - 1], ext[i], ext[i + 1]
+        if center == "*":
+            # neighbors of a star are forced to P, so the window is (P,*,P)
+            if right_end == "literal" and i == n + 1:
+                continue
+            mat[col, col] += a
+            flipped = seq[: i - 2] + "P" + seq[i - 1 :]
+            mat[basis.index(flipped), col] += b
+        elif left == "P" and right == "P":
+            mat[col, col] += dbb
+            starred = seq[: i - 2] + "*" + seq[i - 1 :]
+            mat[basis.index(starred), col] += b
+        elif left == "*" and right == "*":
+            mat[col, col] += dlt
+        # (*,P,P) and (P,P,*) windows contribute nothing
+    return mat
+
+
+def test_integer_states_decode_to_the_basis():
+    for n in range(1, MATRIX_MAX_N + 1):
+        states = fibrep._fib_states(n)
+        decoded = tuple(
+            format(int(s), f"0{n}b").replace("0", "P").replace("1", "*")
+            for s in states
+        )
+        assert decoded == fib_sequences(n).sequences, n
+
+
+@pytest.mark.parametrize("delta", [PHI, -PHI, 1.5, 2.0, -1.3])
+def test_generator_matches_string_reference(delta):
+    params = make_params(delta)
+    for n in range(1, MATRIX_MAX_N + 1):
+        for i in range(1, n + 2):
+            for right_end in ("uniform", "literal"):
+                got = tl_generator_matrix(n, i, params, right_end)
+                want = _reference_generator_matrix(n, i, params, right_end)
+                assert np.array_equal(got, want), (n, i, right_end)
+
+
 def test_generator_bounds():
     p = fibonacci_params()
     with pytest.raises(ValueError):
@@ -227,18 +281,155 @@ def test_verify_model_matches_dense_reference(point):
             assert abs(check.residual - residual) <= 1e-14, (n, check.name)
 
 
-@pytest.mark.parametrize("error", [1e-6, math.nan])
-def test_perturbed_generator_fails_its_rows(monkeypatch, error):
-    build = fibrep.tl_generator_matrix
+class _PairSparse:
+    """The sparse matrix verify_model used before it stacked operands:
+    every result, however built, is sorted and coalesced afresh."""
+
+    def __init__(self, dim, rows, cols, vals):
+        key = rows * dim + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        self.dim = dim
+        self.rows, self.cols = np.divmod(key[starts], dim)
+        self.vals = np.add.reduceat(vals, starts) if len(starts) else vals
+
+    @classmethod
+    def from_dense(cls, mat):
+        rows, cols = np.nonzero(mat)
+        return cls(len(mat), rows, cols, mat[rows, cols])
+
+    @property
+    def T(self):
+        return _PairSparse(self.dim, self.cols, self.rows, self.vals)
+
+    def conj(self):
+        return _PairSparse(self.dim, self.rows, self.cols, self.vals.conj())
+
+    def __rmul__(self, scalar):
+        return _PairSparse(self.dim, self.rows, self.cols, scalar * self.vals)
+
+    def __add__(self, other):
+        return _PairSparse(
+            self.dim,
+            np.concatenate((self.rows, other.rows)),
+            np.concatenate((self.cols, other.cols)),
+            np.concatenate((self.vals, other.vals)),
+        )
+
+    def __sub__(self, other):
+        return self + _PairSparse(self.dim, other.rows, other.cols, -other.vals)
+
+    def __matmul__(self, other):
+        ptr = np.searchsorted(other.rows, np.arange(self.dim + 1))
+        counts = np.diff(ptr)[self.cols]
+        ends = np.cumsum(counts)
+        pick = np.repeat(ptr[self.cols] - ends + counts, counts)
+        pick += np.arange(len(pick))
+        return _PairSparse(
+            self.dim,
+            np.repeat(self.rows, counts),
+            other.cols[pick],
+            np.repeat(self.vals, counts) * other.vals[pick],
+        )
+
+    def max_abs(self):
+        return float(np.max(np.abs(self.vals), initial=0.0))
+
+
+def _per_pair_reference(n, params, tol=1e-10, right_end="uniform"):
+    """verify_model as it was before operand stacking: one sparse
+    expression per operand pair, built from the dense public matrices."""
+    gens = range(1, n + 2)
+    build = fibrep.tl_generator_matrix  # looked up here so patches apply
+    us = [_PairSparse.from_dense(build(n, i, params, right_end)) for i in gens]
+    if right_end == "uniform":
+        rho_us = us
+    else:
+        rho_us = [_PairSparse.from_dense(build(n, i, params)) for i in gens]
+    dim = us[0].dim
+    eye = _PairSparse(
+        dim, np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex)
+    )
+    phase = cmath.exp(1j * params.a_phase)
+    rhos = [phase * eye + phase.conjugate() * u for u in rho_us]
+    rho_invs = [phase.conjugate() * eye + phase * u for u in rho_us]
+    dlt = params.delta
+    k = len(us)
+    near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
+    far = [(i, j) for i in range(k) for j in range(i + 2, k)]
+    rows = [
+        ("U_i^2 = delta U_i", [u @ u - dlt * u for u in us]),
+        (
+            "U_i U_j U_i = U_i (|i-j| = 1)",
+            [us[i] @ us[j] @ us[i] - us[i] for i, j in near],
+        ),
+        (
+            "U_i U_j = U_j U_i (|i-j| > 1)",
+            [us[i] @ us[j] - us[j] @ us[i] for i, j in far],
+        ),
+        ("U_i symmetric", [u - u.T for u in us]),
+        ("rho_i unitary", [r @ r.conj().T - eye for r in rhos]),
+        ("rho_i rho_i^-1 = I", [r @ ri - eye for r, ri in zip(rhos, rho_invs)]),
+        (
+            "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
+            [
+                rhos[i] @ rhos[i + 1] @ rhos[i] - rhos[i + 1] @ rhos[i] @ rhos[i + 1]
+                for i in range(k - 1)
+            ],
+        ),
+        (
+            "rho_i rho_j = rho_j rho_i (|i-j| > 1)",
+            [rhos[i] @ rhos[j] - rhos[j] @ rhos[i] for i, j in far],
+        ),
+    ]
+    checks = []
+    for name, residuals in rows:
+        worst = float(np.max([r.max_abs() for r in residuals], initial=0.0))
+        checks.append(RelationCheck(name, worst, worst <= tol))
+    return VerifyReport(n=n, delta=dlt, tol=tol, checks=tuple(checks))
+
+
+@pytest.mark.parametrize(
+    "point", ["+phi", "delta=1.5", "+phi literal"]
+)
+def test_stacked_report_equals_per_pair_reference(point):
+    make, right_end = REFERENCE_POINTS[point]
+    params = make()
+    for n in (*range(1, 9), MATRIX_MAX_N):
+        report = verify_model(n, params, right_end=right_end)
+        assert report == _per_pair_reference(n, params, right_end=right_end), n
+
+
+def _perturb_entries(monkeypatch, target, error):
+    """Patch the generator builder so U_target gets one off-diagonal entry
+    moved by error, as seen by verify_model and tl_generator_matrix alike."""
+    build = fibrep._generator_entries
 
     def perturbed(n, i, params, right_end="uniform"):
-        mat = build(n, i, params, right_end)
-        if i == 3:  # not U_1, so a fold that drops a NaN would miss it
-            rows, cols = np.nonzero(mat - np.diag(np.diag(mat)))
-            mat[rows[0], cols[0]] += error  # one off-diagonal entry
-        return mat
+        rows, cols, vals = build(n, i, params, right_end)
+        if i == target:
+            vals = vals.copy()
+            vals[np.flatnonzero(rows != cols)[0]] += error
+        return rows, cols, vals
 
-    monkeypatch.setattr(fibrep, "tl_generator_matrix", perturbed)
+    monkeypatch.setattr(fibrep, "_generator_entries", perturbed)
+
+
+def test_perturbed_last_generator_fails_in_the_last_stack(monkeypatch):
+    n = MATRIX_MAX_N
+    _perturb_entries(monkeypatch, n + 1, 1e-6)
+    params = fibonacci_params()
+    report = verify_model(n, params)
+    assert not report.passed
+    assert not next(c for c in report.checks if c.name == "U_i symmetric").passed
+    assert report == _per_pair_reference(n, params)
+
+
+@pytest.mark.parametrize("error", [1e-6, math.nan])
+def test_perturbed_generator_fails_its_rows(monkeypatch, error):
+    # not U_1, so a fold that drops a NaN would miss it
+    _perturb_entries(monkeypatch, 3, error)
     report = verify_model(4, fibonacci_params(), tol=1e-10)
     failing = {c.name: c.residual for c in report.checks if not c.passed}
     for name in (
@@ -255,13 +446,13 @@ def test_perturbed_generator_fails_its_rows(monkeypatch, error):
 
 def test_verify_model_builds_each_generator_once(monkeypatch):
     calls = []
-    build = fibrep.tl_generator_matrix
+    build = fibrep._generator_entries
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(fibrep, "tl_generator_matrix", counted)
+    monkeypatch.setattr(fibrep, "_generator_entries", counted)
     for n in (1, 4, 9):
         calls.clear()
         assert verify_model(n, fibonacci_params()).passed
