@@ -8,6 +8,7 @@ deterministic: the same invocation always produces the same bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -340,7 +341,14 @@ def _add_params_args(sub):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call.
+
+    Parsing leaves the parser unchanged: each call gets a fresh Namespace,
+    and usage errors and --help write to the sys.stderr and sys.stdout of
+    that moment.
+    """
     parser = argparse.ArgumentParser(
         prog="tlbraid",
         description="Exact bracket/Jones polynomials of braid closures and "

@@ -48,7 +48,8 @@ STATE_MAX_BITS = 1 << 30
 
 def _cyclic_position(endpoint: int, n: int) -> int:
     # Boundary order walks the top left to right, then the bottom right to
-    # left, so chord crossings reduce to interval interleaving.
+    # left, so chord crossings reduce to interval interleaving. The map is
+    # its own inverse: it also gives the endpoint at a boundary position.
     return endpoint if endpoint < n else 3 * n - 1 - endpoint
 
 
@@ -68,17 +69,29 @@ class PlanarPairing:
                 raise ValueError(f"endpoint {i} pairs out of range ({j})")
             if j == i or p[j] != i:
                 raise ValueError("partner must be a fixed-point-free involution")
-        chords = []
-        for i, j in enumerate(p):
-            if i < j:
-                a, b = _cyclic_position(i, size), _cyclic_position(j, size)
-                chords.append((min(a, b), max(a, b)))
-        for idx, (a, b) in enumerate(chords):
-            for c, d in chords[idx + 1 :]:
-                if (a < c < b < d) or (c < a < d < b):
-                    raise ValueError("pairing has crossing chords")
+        # Non-crossing means the chords nest like brackets along the cyclic
+        # boundary order: each chord must close the innermost one still open.
+        open_ends = []
+        for pos in range(2 * size):
+            end = _cyclic_position(p[_cyclic_position(pos, size)], size)
+            if end > pos:
+                open_ends.append(end)
+            elif open_ends.pop() != pos:
+                raise ValueError("pairing has crossing chords")
         self.size = size
         self.partner = p
+
+    @classmethod
+    def _trusted(cls, size: int, partner: tuple) -> "PlanarPairing":
+        """A pairing known to be valid, built without the checks.
+
+        Only for products of valid pairings: composing two non-crossing
+        pairings always gives a non-crossing pairing.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "partner", partner)
+        return self
 
     def __setattr__(self, name, value):
         if hasattr(self, "partner"):
@@ -160,7 +173,7 @@ class PlanarPairing:
                 j_via_top = p1[n + j] - n  # stays internal: outer paths are done
                 mid_seen[j_via_top] = True
                 j = p2[j_via_top]
-        return PlanarPairing(n, partner), loops
+        return PlanarPairing._trusted(n, tuple(partner)), loops
 
     def closure_loops(self) -> int:
         """Loops of the trace closure joining top i to bottom n+i."""
@@ -207,14 +220,11 @@ def enumerate_pairings(n: int) -> list[PlanarPairing]:
                 for m2 in matchings(outer):
                     yield [(first, positions[k])] + m1 + m2
 
-    def endpoint(pos):
-        return pos if pos < n else 3 * n - 1 - pos
-
     result = []
     for matching in matchings(tuple(range(2 * n))):
         partner = [-1] * (2 * n)
         for pa, pb in matching:
-            ea, eb = endpoint(pa), endpoint(pb)
+            ea, eb = _cyclic_position(pa, n), _cyclic_position(pb, n)
             partner[ea], partner[eb] = eb, ea
         result.append(PlanarPairing(n, partner))
     result.sort(key=lambda d: d.partner)
@@ -306,8 +316,9 @@ class _DiagramTable:
 
     act[i - 1][d] is (id of d*U_i, loops trapped), or None until first
     needed; loops is 0 or 1. closure[d] is the loop count of diagram d's
-    trace closure. Misses go through PlanarPairing.compose and its
-    validating constructor, so every product diagram is checked once.
+    trace closure. Misses go through PlanarPairing.compose, whose products
+    skip the public constructor's checks: a product of planar diagrams is
+    planar, which tests/test_tl.py confirms for every entry up to 8 strands.
     """
 
     def __init__(self, n: int):

@@ -265,6 +265,44 @@ def test_repeated_runs_are_byte_identical():
         assert _run(argv) == _run(argv)
 
 
+def test_shared_parser_matches_a_fresh_one(monkeypatch):
+    sequence = [
+        ["bracket", "--strands", "2"],  # usage error: --word missing
+        ["--help"],
+        ["bracket", "--both", "--json", *TREFOIL],
+        ["fib-verify", "--n", "3"],
+        ["bracket", "--strands", "2", "--word", "1 x"],
+        ["bracket", *TREFOIL],  # no flag of an earlier call carries over
+    ]
+    assert cli_module.build_parser() is cli_module.build_parser()
+    shared = [_run(argv) for argv in sequence]
+    monkeypatch.setattr(cli_module, "build_parser", cli_module.build_parser.__wrapped__)
+    fresh = [_run(argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2, 0]
+    assert shared[0][2].startswith("usage: tlbraid bracket")
+    assert shared[1][1].startswith("usage: tlbraid")
+    assert shared[5] == (0, "-1*A^5 + -1*A^-3 + 1*A^-7\n", "")
+
+
+def test_overflowing_loop_value_writes_no_warnings():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    for extra in ([], ["--json"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tlbraid.cli", "fib-verify", "--n", "3",
+             "--delta", "1e200", *extra],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (1, ""), extra
+        assert ("null" if extra else "nan") in proc.stdout
+
+
 def test_usage_errors_exit_two():
     for argv in (
         ["bracket", "--strands", "2", "--word", "0"],

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 from functools import partial
 
 import numpy as np
@@ -469,6 +470,18 @@ def test_nan_residual_fails_its_row():
     assert not report.passed
     for check in report.checks:
         assert math.isnan(check.residual) and not check.passed, check.name
+
+
+def test_overflow_fails_rows_without_warnings():
+    # at delta = 1e200 the products overflow to inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_model(3, make_params(1e200))
+    assert not report.passed
+    assert any(math.isnan(c.residual) for c in report.checks)
+    for check in report.checks:
+        if not math.isfinite(check.residual):
+            assert not check.passed, check.name
 
 
 def test_verify_model_rejects_bad_tol():

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlbraid.tl as tl_module
 from tlbraid import (
@@ -57,6 +59,121 @@ def test_rejects_crossing_and_non_involution():
         PlanarPairing(2, (2, 3, 0))  # wrong length
     with pytest.raises(ValueError):
         PlanarPairing(2, (2, 3, 1, 0))  # not an involution
+
+
+def _crosses_reference(n, partner):
+    """Reference verdict: the pairwise O(n^2) chord-interleaving test."""
+    chords = []
+    for i, j in enumerate(partner):
+        if i < j:
+            a, b = tl_module._cyclic_position(i, n), tl_module._cyclic_position(j, n)
+            chords.append((min(a, b), max(a, b)))
+    for idx, (a, b) in enumerate(chords):
+        for c, d in chords[idx + 1 :]:
+            if (a < c < b < d) or (c < a < d < b):
+                return True
+    return False
+
+
+def _involutions(points):
+    """Every fixed-point-free involution of range(points), as partner lists."""
+    if points == 0:
+        yield []
+        return
+    for rest in _involutions(points - 2):
+        # pair the new last point with each old point k; k's old partner
+        # takes the new second-to-last point
+        yield rest + [points - 1, points - 2]
+        for k in range(points - 2):
+            partner = rest + [rest[k], k]
+            partner[rest[k]] = points - 2
+            partner[k] = points - 1
+            yield partner
+
+
+def _accepted(n, partner):
+    try:
+        PlanarPairing(n, partner)
+    except ValueError:
+        return False
+    return True
+
+
+def test_chord_check_matches_reference_exhaustively():
+    for n in range(1, 6):
+        involutions = [tuple(p) for p in _involutions(2 * n)]
+        assert len(set(involutions)) == math.prod(range(1, 2 * n, 2))  # 945 at n = 5
+        accepted = 0
+        for p in involutions:
+            verdict = _accepted(n, p)
+            assert verdict == (not _crosses_reference(n, p)), p
+            accepted += verdict
+        assert accepted == math.comb(2 * n, n) // (n + 1)
+
+
+@st.composite
+def _random_involutions(draw):
+    """A random involution, or a random planar pairing with chords re-paired."""
+    n = draw(st.integers(1, tl_module.ENUMERATION_MAX_N))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(2 * n)))
+        pairs = list(zip(order[::2], order[1::2]))
+    else:
+        # a random bracket sequence along the boundary order is planar
+        pairs, open_positions = [], []
+        for pos in range(2 * n):
+            closes_left = 2 * n - pos - len(open_positions)
+            if open_positions and (closes_left == 0 or draw(st.booleans())):
+                a = tl_module._cyclic_position(open_positions.pop(), n)
+                pairs.append((a, tl_module._cyclic_position(pos, n)))
+            else:
+                open_positions.append(pos)
+        for _ in range(draw(st.integers(0, 2))):
+            k = draw(st.integers(0, n - 1))
+            m = draw(st.integers(0, n - 1))
+            (a, b), (c, d) = pairs[k], pairs[m]
+            if k != m:
+                pairs[k], pairs[m] = (a, c), (b, d)
+    partner = [0] * (2 * n)
+    for a, b in pairs:
+        partner[a], partner[b] = b, a
+    return n, tuple(partner)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_random_involutions())
+def test_chord_check_matches_reference_on_random_involutions(case):
+    n, partner = case
+    assert _accepted(n, partner) == (not _crosses_reference(n, partner))
+
+
+def test_trusted_products_are_planar():
+    """Fill every table entry up to 8 strands by BFS from the identity: the
+    products compose builds without checks are exactly the planar diagrams,
+    and each passes the public constructor unchanged."""
+    for n in range(1, 9):
+        table = tl_module._DiagramTable(n)
+        frontier = [table.identity]
+        reached = {table.identity}
+        while frontier:
+            d = frontier.pop()
+            for i in range(1, n):
+                target, loops = table.act[i - 1][d] or table.fill(i, d)
+                assert loops in (0, 1)
+                if target not in reached:
+                    reached.add(target)
+                    frontier.append(target)
+        assert all(entry is not None for row in table.act for entry in row)
+        assert len(table.diagrams) == len(reached)
+        assert set(table.diagrams) == set(enumerate_pairings(n))
+        for d in table.diagrams:
+            assert PlanarPairing(n, d.partner) == d
+        for i in range(1, n):
+            u = PlanarPairing.generator(n, i)
+            for d, (target, loops) in enumerate(table.act[i - 1]):
+                product, product_loops = table.diagrams[d].compose(u)
+                assert PlanarPairing(n, product.partner) == product
+                assert (product, product_loops) == (table.diagrams[target], loops)
 
 
 def test_compose_produces_loop():
