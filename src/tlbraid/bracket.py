@@ -132,8 +132,8 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
 def bracket_via_tl(word: BraidWord) -> LaurentPoly:
     """Bracket polynomial via the Temperley-Lieb rewrite and Markov trace.
 
-    Raises ValueError when the word's TL state outgrows
-    tl.STATE_MAX_DIAGRAMS diagrams.
+    Raises ValueError when the word exceeds tl.WORD_MAX_WORK or its TL
+    state outgrows tl.STATE_MAX_DIAGRAMS diagrams or tl.STATE_MAX_BITS bits.
     """
     return trace_braid_word(word)
 

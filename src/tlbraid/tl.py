@@ -11,16 +11,19 @@ in a lazily filled table that memoizes the right action of every U_i, and
 a word is one pass of updates to a state {diagram id: packed int}. Each
 diagram's Laurent coefficient is packed into one Python int by Kronecker
 substitution: the polynomial is evaluated at 2^B, one B-bit slot per
-exponent, with B = (3^L).bit_length() + 1 for L letters. A letter at most
-triples the state's L1 norm, so no coefficient or sum of coefficients
-outgrows its slot. A letter's A^(+-1) weights are then one big-int shift
-of each moved diagram, a trapped loop is one shift and add, and the work
-runs in C on exact integers. rep_braid_word unpacks every diagram into a
-TLElement; trace_braid_word adds the packed ints per closure loop count
-and unpacks only those sums. A packed int holds (2L + 1) * B bits, so the
-state is capped both in diagrams (STATE_MAX_DIAGRAMS) and in bits
-(STATE_MAX_BITS). The general TLElement product and markov_trace serve
-the exact relation suite.
+exponent. A letter follows the twist rule: a diagram with a cap at i traps
+a loop under U_i, so the letter multiplies it in place by the monomial
+-A^(-+3), and only the other diagrams are split into two copies. The
+state's L1 norm therefore at most doubles per letter, and B = L + 2 bits
+for L letters hold every coefficient and every sum of them. Each weight is
+a left shift of 0, 1 or 2 slots, and the work runs in C on exact
+integers. rep_braid_word unpacks every diagram into a TLElement;
+trace_braid_word adds the packed ints per closure loop count and unpacks
+only those sums. A packed int holds (2L + 1) * B bits, so the state is
+capped both in diagrams (STATE_MAX_DIAGRAMS) and in bits (STATE_MAX_BITS),
+and a word whose worst-case work exceeds WORD_MAX_WORK is refused before
+its first letter. The general TLElement product and markov_trace serve the
+exact relation suite.
 """
 
 from __future__ import annotations
@@ -32,18 +35,30 @@ from typing import Callable
 from .braid import BraidWord
 from .laurent import LaurentPoly, delta_power
 
+
+def _catalan(n: int) -> int:
+    """The number of TL diagrams on n strands."""
+    return math.comb(2 * n, n) // (n + 1)
+
+
 ENUMERATION_MAX_N = 12
 # Catalan(12): the braid-word state may hold no more diagrams than there are
 # on the largest size enumerate_pairings supports.
-STATE_MAX_DIAGRAMS = math.comb(2 * ENUMERATION_MAX_N, ENUMERATION_MAX_N) // (
-    ENUMERATION_MAX_N + 1
-)
+STATE_MAX_DIAGRAMS = _catalan(ENUMERATION_MAX_N)
 # Bits of packed coefficients the state may hold: diagrams times the slot
-# bits of one packed polynomial, (2L + 1) * ((3^L).bit_length() + 1). The
-# state's measured peak memory is 0.9-1.0x this count (7 strands, 400 random
-# letters: 26 MB counted, 24 MB peak), so 2^30 bits bound it near 128 MiB.
-# The benchmark's widest words count under 2^21 bits.
+# bits of one packed polynomial, (2L + 1) * (L + 2) for L letters. The
+# state's measured peak memory is about 0.9x this count (7 strands, 400
+# random letters: 17.3 MB counted, 15.8 MB peak), so 2^30 bits bound it
+# near 128 MiB. The benchmark's widest words count about 1.1M bits.
 STATE_MAX_BITS = 1 << 30
+# A word's worst-case work: letters times the bits of one packed polynomial
+# times the most diagrams its state may hold (Catalan(n), capped as above).
+# Each letter shifts and adds every diagram's int once or twice, so run time
+# grows with this count. At 2^40 the slowest admitted words measured take
+# about a minute (2-vCPU VM, Python 3.11): 68 s for sigma_1^6500 on 2
+# strands and 63 s for (1 -2)^2394 on 3; random words at the budget took
+# 28-35 s on 5, 7 and 12 strands (the last with its state near the bit cap).
+WORD_MAX_WORK = 1 << 40
 
 
 def _cyclic_position(endpoint: int, n: int) -> int:
@@ -85,8 +100,9 @@ class PlanarPairing:
     def _trusted(cls, size: int, partner: tuple) -> "PlanarPairing":
         """A pairing known to be valid, built without the checks.
 
-        Only for products of valid pairings: composing two non-crossing
-        pairings always gives a non-crossing pairing.
+        Only for pairings planar by construction: products of valid
+        pairings (composing two non-crossing pairings gives a non-crossing
+        pairing) and the bracket matchings of enumerate_pairings.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "size", size)
@@ -220,13 +236,15 @@ def enumerate_pairings(n: int) -> list[PlanarPairing]:
                 for m2 in matchings(outer):
                     yield [(first, positions[k])] + m1 + m2
 
+    # A bracket matching of the boundary order is non-crossing, so every
+    # pairing is built without the public constructor's checks.
     result = []
     for matching in matchings(tuple(range(2 * n))):
         partner = [-1] * (2 * n)
         for pa, pb in matching:
             ea, eb = _cyclic_position(pa, n), _cyclic_position(pb, n)
             partner[ea], partner[eb] = eb, ea
-        result.append(PlanarPairing(n, partner))
+        result.append(PlanarPairing._trusted(n, tuple(partner)))
     result.sort(key=lambda d: d.partner)
     return result
 
@@ -359,46 +377,72 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
 
     Right-multiplies the identity by A^s*identity + A^-s*U_i for each
     letter s*i. A diagram's coefficient, a Laurent polynomial in A, is
-    packed into one int (Kronecker substitution): slot k, `width` bits
-    wide, holds the coefficient of raw exponent 2*(off - k). Returns the
-    table, the state and the function that unpacks a state value -- or a
-    sum of them -- into {exponent: coefficient}. Raises ValueError once
-    the state holds more than STATE_MAX_DIAGRAMS diagrams or more than
-    STATE_MAX_BITS bits of slots.
+    packed into one int (Kronecker substitution): slot k, `width` = L + 2
+    bits wide for L letters, holds the coefficient of A^(top - 2k), where
+    `top` is the exponent of slot 0.
+
+    The twist rule: a diagram d whose product with U_i traps a loop has
+    d*U_i = delta*d with delta = -A^2 - A^-2, so the letter sends it to
+    (A^s + A^-s*delta)*d = -A^(-3s)*d, one monomial in place. Only the
+    other diagrams send a copy, times A^-s, to d*U_i. Slot 0's exponent
+    rises by 1 for a positive letter and by 3 for a negative one, so each
+    weight is a left shift of 0, 1 or 2 slots: positive, a capped x becomes
+    -(x << 2B) and an uncapped x stays; negative, a capped x becomes -x and
+    an uncapped x becomes x << 2B; every uncapped x adds x << B at its
+    target. A letter moves a coefficient at most 2 slots, so the word needs
+    2L + 1 slots.
+
+    Why B = L + 2 bits suffice: a capped diagram gets a monomial factor,
+    so its norm does not change, and an uncapped one is split into two
+    copies, so its norm at most doubles. The state's L1 norm therefore
+    stays at or below 2^L. Every coefficient, and every sum of them over a
+    closure loop count, lies in [-2^L, 2^L], inside a slot's
+    [-2^(B-1), 2^(B-1)), so every value unpacks exactly.
+
+    Returns the table, the state and the function that unpacks a state
+    value -- or a sum of them -- into {exponent: coefficient}. Raises
+    ValueError before the first letter when the word's worst-case work
+    exceeds WORD_MAX_WORK, and once the state holds more than
+    STATE_MAX_DIAGRAMS diagrams or more than STATE_MAX_BITS bits of slots.
     """
     n, letters = word.strands, word.letters
+    width = len(letters) + 2
+    slots = 2 * len(letters) + 1
+    bits = slots * width
+    max_diagrams = min(STATE_MAX_DIAGRAMS, STATE_MAX_BITS // bits, _catalan(n))
+    if max_diagrams < 1:
+        raise _cap_error(n, 1, bits)
+    work = len(letters) * bits * max_diagrams
+    if work > WORD_MAX_WORK:
+        raise ValueError(
+            f"braid word of {len(letters)} letters on {n} strands exceeds the "
+            f"work budget of {WORD_MAX_WORK} (letters x bits per diagram x "
+            f"diagrams: {work})"
+        )
     table = _TABLES.get(n)
     if table is None:
         table = _TABLES.setdefault(n, _DiagramTable(n))
-    # A letter at most triples the state's L1 norm, which bounds every
-    # coefficient, so a slot of `width` bits holds any coefficient in
-    # [-2^(width-1), 2^(width-1)) and a state sum unpacks exactly.
-    width = (3 ** len(letters)).bit_length() + 1
-    slots = 2 * len(letters) + 1
-    bits = slots * width
-    max_diagrams = min(STATE_MAX_DIAGRAMS, STATE_MAX_BITS // bits)
-    if max_diagrams < 1:
-        raise _cap_error(n, 1, bits)
-    # Each letter is A^s * (identity + A^-2s * U_i). The factors A^s add up
-    # in shift, so the identity part stays in place and only the U_i part
-    # moves: one slot up for a positive letter, one down for a negative one
-    # (a trapped loop, delta = -A^2 - A^-2, lands in the slot it left and
-    # two slots on). Starting at slot off, a negative letter finds the
-    # lowest 2 * (negative letters left) slots empty, so >> is exact.
-    off = 2 * sum(1 for ell in letters if ell < 0)
-    shift = len(letters) - off
-    state = {table.identity: 1 << (off * width)}
+    state = {table.identity: 1}
     double = 2 * width
+    top = 0  # exponent of slot 0; slot k holds A^(top - 2k)
     for ell in letters:
         i = abs(ell)
         act = table.act[i - 1]
         moved: dict[int, int] = {}
+        if ell > 0:
+            top += 1
+            capped_shift, kept_shift = double, 0
+        else:
+            top += 3
+            capped_shift, kept_shift = 0, double
         for d, x in state.items():
             target, loops = act[d] or table.fill(i, d)
-            if ell > 0:
-                x = -(x + (x << double)) if loops else x << width
-            else:
-                x = -(x + (x >> double)) if loops else x >> width
+            if loops:
+                state[d] = -(x << capped_shift)
+                continue
+            if kept_shift:
+                state[d] = x << kept_shift
+            x <<= width
             if target in moved:
                 moved[target] += x
             else:
@@ -414,7 +458,7 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
     # Adding `half` to every slot makes each one a plain base-2^width digit.
     half = 1 << (width - 1)
     bias = ((1 << bits) - 1) // ((1 << width) - 1) * half
-    top = 2 * (off - slots + 1) + shift  # final exponent of the top slot
+    low = top - 2 * (slots - 1)  # exponent of the highest slot, read first
 
     def unpack(packed: int) -> dict[int, int]:
         digits = format(packed + bias, "b").zfill(bits)
@@ -422,7 +466,7 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
         for j in range(0, bits, width):
             c = int(digits[j : j + width], 2) - half
             if c:
-                terms[top + 2 * j // width] = c
+                terms[low + 2 * j // width] = c
         return terms
 
     return table, state, unpack
@@ -447,7 +491,8 @@ def rep_braid_word(word: BraidWord) -> TLElement:
     letter to A^-1*identity + A*cupcap; the whole word is the left-to-right
     product. Closing up the result with the Markov trace gives the bracket
     polynomial of the braid closure (trace_braid_word does both at once).
-    Raises ValueError when the state outgrows its caps (see _word_state).
+    Raises ValueError when the word exceeds WORD_MAX_WORK or the state
+    outgrows its caps (see _word_state).
     """
     table, state, unpack = _word_state(word)
     diagrams = table.diagrams

@@ -418,6 +418,12 @@ def test_tl_state_cap_reported_as_input_error(monkeypatch):
         code, out, err = _run([command, *word])
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "exceeds 100 bits" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(tl_module, "WORD_MAX_WORK", 1000)
+    for command in ("bracket", "jones"):
+        code, out, err = _run([command, *word])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "work budget of 1000" in err
 
 
 def _console_script(tmp_path):

@@ -160,6 +160,7 @@ def test_trusted_products_are_planar():
             for i in range(1, n):
                 target, loops = table.act[i - 1][d] or table.fill(i, d)
                 assert loops in (0, 1)
+                assert (loops == 1) == (target == d)  # the twist rule's premise
                 if target not in reached:
                     reached.add(target)
                     frontier.append(target)
@@ -214,6 +215,9 @@ def test_enumeration_matches_catalan():
         catalan = math.comb(2 * n, n) // (n + 1)
         assert len(basis) == catalan
         assert len(set(basis)) == catalan
+        # built without checks, so each must pass the public constructor
+        assert all(PlanarPairing(n, d.partner) == d for d in basis)
+        assert [d.partner for d in basis] == sorted(d.partner for d in basis)
     with pytest.raises(ValueError):
         enumerate_pairings(13)
 
@@ -230,6 +234,60 @@ def test_element_relations_exact():
         for i in range(len(gens)):
             for j in range(i + 2, len(gens)):
                 assert gens[i] * gens[j] == gens[j] * gens[i]
+
+
+def test_twist_identity_in_general_algebra():
+    # d * U_i traps a loop only when d has a cap at i, and then d * U_i is
+    # delta * d, so each letter multiplies d by one monomial:
+    # (A + A^-1 * delta) = -A^-3 and (A^-1 + A * delta) = -A^3.
+    a, a_inv = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1)
+    for n in range(2, 7):
+        ident = PlanarPairing.identity(n)
+        for i in range(1, n):
+            u = PlanarPairing.generator(n, i)
+            positive = TLElement(n, {ident: a, u: a_inv})
+            negative = TLElement(n, {ident: a_inv, u: a})
+            for d in enumerate_pairings(n):
+                product, loops = d.compose(u)
+                if not loops:
+                    assert product != d
+                    continue
+                assert product == d
+                element = TLElement(n, {d: LaurentPoly.one()})
+                assert element * positive == TLElement(n, {d: LaurentPoly({-3: -1})})
+                assert element * negative == TLElement(n, {d: LaurentPoly({3: -1})})
+
+
+def _norm(element):
+    return sum(abs(c) for poly in element.terms.values() for c in poly.terms.values())
+
+
+def _twist_rule_words():
+    rng = random.Random(31)
+    words = [BraidWord(2, (1,) * length) for length in (1, 2, 7, 20, 40)]
+    # (1 -2)^k grows its coefficients by about 0.69 bits a letter, the
+    # fastest family seen: past L/2 + 1 bits by 40 letters
+    words.append(BraidWord(3, (1, -2) * 20))
+    for n in range(2, 8):
+        length = rng.randint(20, 40)
+        sweep = tuple(i for _ in range(length // (n - 1) + 1) for i in range(1, n))
+        words.append(BraidWord(n, sweep[:length]))
+        words.append(_random_word(rng, n, rng.randint(20, 40), signs=(-1,)))
+        words.append(_random_word(rng, n, rng.randint(20, 40)))
+    return words
+
+
+def test_twist_rule_states_stay_inside_the_norm_bound():
+    # The slot width L + 2 rests on the state's L1 norm staying <= 2^L.
+    widest = 0
+    for word in _twist_rule_words():
+        element = rep_braid_word(word)
+        assert element == _general_fold(word)
+        assert _norm(element) <= 2 ** len(word.letters)
+        assert bracket_via_tl(word) == markov_trace(_general_fold(word))
+        top = max(abs(c) for poly in element.terms.values() for c in poly.terms.values())
+        widest = max(widest, top.bit_length() - len(word.letters) // 2)
+    assert widest > 1  # some coefficient needs more than L/2 + 1 bits
 
 
 def test_positive_times_negative_letter_is_identity():
@@ -412,9 +470,9 @@ def test_state_cap_raises(monkeypatch):
     assert bracket_via_tl(BraidWord(6, (1, 3, 5))) == markov_trace(
         _general_fold(BraidWord(6, (1, 3, 5)))
     )
-    # the bit cap: diagrams times (2L + 1) * ((3^L).bit_length() + 1) bits
+    # the bit cap: diagrams times (2L + 1) * (L + 2) bits
     monkeypatch.undo()
-    bits = (2 * 10 + 1) * ((3**10).bit_length() + 1)
+    bits = (2 * 10 + 1) * (10 + 2)
     _, state, _ = tl_module._word_state(word)
     cap = len(state) * bits
     monkeypatch.setattr(tl_module, "STATE_MAX_BITS", cap)
@@ -429,3 +487,21 @@ def test_state_cap_raises(monkeypatch):
     monkeypatch.setattr(PlanarPairing, "compose", None)
     with pytest.raises(ValueError, match="diagrams: 1,"):
         bracket_via_tl(BraidWord(6, (5,) * 10))
+
+
+def test_word_budget_refuses_before_the_first_letter(monkeypatch):
+    # work = letters * bits per diagram * the most diagrams the state may hold
+    word = BraidWord(4, (1, -2, 3) * 4)
+    work = 12 * (2 * 12 + 1) * (12 + 2) * 14  # Catalan(4) = 14
+    monkeypatch.setattr(tl_module, "WORD_MAX_WORK", work)
+    assert bracket_via_tl(word) == markov_trace(_general_fold(word))
+    monkeypatch.setattr(tl_module, "WORD_MAX_WORK", work - 1)
+    monkeypatch.setattr(PlanarPairing, "compose", None)
+    for route in (bracket_via_tl, rep_braid_word):
+        with pytest.raises(ValueError, match=f"exceeds the work budget of {work - 1}"):
+            route(word)
+    # at the real budget, 3 strands admit about 4800 letters
+    monkeypatch.undo()
+    monkeypatch.setattr(PlanarPairing, "compose", None)
+    with pytest.raises(ValueError, match="work budget"):
+        bracket_via_tl(BraidWord(3, (1, -2) * 2500))
