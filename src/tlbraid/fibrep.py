@@ -359,95 +359,96 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
-class _Sparse:
-    """A square matrix as coalesced (row, col, value) arrays: one entry per
-    position, sorted by row and then column.
+@lru_cache(maxsize=None)
+def _shift(n: int, mask: int) -> np.ndarray:
+    """Gather index from each basis index r of fib_sequences(n) to the index
+    of the state _fib_states(n)[r] ^ mask, with one pad index dim appended.
 
-    The constructor trusts its arrays to be coalesced; coalesce sorts
-    arbitrary triples and sums duplicates. Scalar multiples, conjugates,
-    negations and block-diagonal stacks of coalesced matrices are coalesced
-    as they stand, so only transposes, sums and products pay for the sort.
-    It supports the few ndarray operators the relation rows of verify_model
-    use.
+    Rows whose partner is not a state, and the pad itself, go to the pad.
+    The array is cached per mask, so it is read-only.
+    """
+    states = _fib_states(n)
+    dim = len(states)
+    index = np.full(1 << n, dim)
+    index[states] = np.arange(dim)
+    pick = np.append(index[states ^ mask], dim)
+    pick.flags.writeable = False
+    return pick
+
+
+class _Sparse:
+    """A square matrix on fib_sequences(n) as slots {mask: values}.
+
+    values[r] is the entry in row r and in the column whose state is
+    _fib_states(n)[r] ^ mask; each values array has dim + 1 entries and
+    ends in a 0 pad, and every position without an entry holds an exact 0.
+    The masks come from the entries, so no structure of U_i is assumed.
+    A product adds va * vb[_shift(n, ma)] into the slot ma ^ mb, the left
+    operand first (numpy's complex multiply is not bitwise commutative), so
+    each output entry sums the products a dense matmul sums, plus exact
+    zeros. No sort is needed to fix the order of those sums: U_i has two
+    slots (the diagonal and the flip of its center bit), so no entry of a
+    product verify_model forms sums more than two nonzero terms, and a sum
+    of two floats does not depend on their order. Entries of more terms,
+    from matrices of other shapes, are summed in slot order and agree with
+    a dense product up to rounding. Slot arrays are never written after
+    the operation that made them returns.
     """
 
-    __slots__ = ("dim", "rows", "cols", "vals")
+    __slots__ = ("n", "slots")
 
-    def __init__(self, dim: int, rows, cols, vals):
-        self.dim, self.rows, self.cols, self.vals = dim, rows, cols, vals
-
-    @classmethod
-    def coalesce(cls, dim: int, rows, cols, vals) -> "_Sparse":
-        key = rows * dim + cols
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
-        fresh = key[1:] != key[:-1]
-        if fresh.all():
-            return cls(dim, rows[order], cols[order], vals)
-        starts = np.concatenate(([0], np.flatnonzero(fresh) + 1))
-        first = order[starts]
-        return cls(dim, rows[first], cols[first], np.add.reduceat(vals, starts))
+    def __init__(self, n: int, slots: dict):
+        self.n, self.slots = n, slots
 
     @classmethod
-    def stack(cls, blocks) -> "_Sparse":
-        """The block-diagonal matrix of equal-size blocks, in order."""
-        dim = blocks[0].dim
-        return cls(
-            dim * len(blocks),
-            np.concatenate([m.rows + k * dim for k, m in enumerate(blocks)]),
-            np.concatenate([m.cols + k * dim for k, m in enumerate(blocks)]),
-            np.concatenate([m.vals for m in blocks]),
-        )
+    def from_entries(cls, n: int, rows, cols, vals) -> "_Sparse":
+        """The matrix with vals at (rows, cols), duplicate positions summed."""
+        states = _fib_states(n)
+        masks = states[rows] ^ states[cols]
+        slots = {}
+        for mask in sorted(set(masks.tolist())):
+            pick = masks == mask
+            slots[mask] = np.zeros(len(states) + 1, dtype=vals.dtype)
+            np.add.at(slots[mask], rows[pick], vals[pick])
+        return cls(n, slots)
 
     @property
     def T(self) -> "_Sparse":
-        return _Sparse.coalesce(self.dim, self.cols, self.rows, self.vals)
+        return _Sparse(
+            self.n, {m: v[_shift(self.n, m)] for m, v in self.slots.items()}
+        )
 
     def conj(self) -> "_Sparse":
-        return _Sparse(self.dim, self.rows, self.cols, self.vals.conj())
+        return _Sparse(self.n, {m: v.conj() for m, v in self.slots.items()})
 
     def __rmul__(self, scalar) -> "_Sparse":
-        return _Sparse(self.dim, self.rows, self.cols, scalar * self.vals)
-
-    def __neg__(self) -> "_Sparse":
-        return _Sparse(self.dim, self.rows, self.cols, -self.vals)
+        return _Sparse(self.n, {m: scalar * v for m, v in self.slots.items()})
 
     def __add__(self, other: "_Sparse") -> "_Sparse":
-        return _Sparse.coalesce(
-            self.dim,
-            np.concatenate((self.rows, other.rows)),
-            np.concatenate((self.cols, other.cols)),
-            np.concatenate((self.vals, other.vals)),
-        )
+        slots = dict(self.slots)
+        for m, v in other.slots.items():
+            slots[m] = slots[m] + v if m in slots else v
+        return _Sparse(self.n, slots)
 
     def __sub__(self, other: "_Sparse") -> "_Sparse":
-        return self + -other
+        slots = dict(self.slots)
+        for m, v in other.slots.items():
+            slots[m] = slots[m] - v if m in slots else -v
+        return _Sparse(self.n, slots)
 
     def __matmul__(self, other: "_Sparse") -> "_Sparse":
-        # entry (i, k, x) of self meets every entry (k, j, y) of other, which
-        # sit at other's positions ptr[k]:ptr[k+1]
-        ptr = np.searchsorted(other.rows, np.arange(self.dim + 1))
-        counts = np.diff(ptr)[self.cols]
-        ends = np.cumsum(counts)
-        pick = np.repeat(ptr[self.cols] - ends + counts, counts)
-        pick += np.arange(len(pick))
-        return _Sparse.coalesce(
-            self.dim,
-            np.repeat(self.rows, counts),
-            other.cols[pick],
-            np.repeat(self.vals, counts) * other.vals[pick],
-        )
+        slots = {}
+        for ma, va in self.slots.items():
+            pick = _shift(self.n, ma)
+            for mb, vb in other.slots.items():
+                term = va * vb[pick]
+                m = ma ^ mb
+                slots[m] = slots[m] + term if m in slots else term
+        return _Sparse(self.n, slots)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.vals), initial=0.0))
-
-
-# Operand tuples per block-diagonal stack in verify_model, chosen by
-# measurement on n = 10..12: one stack per row (up to 55 pairs) ran about
-# 1.2x faster than 8 but raised the peak RSS of a process from about 32 to
-# 47 MB, while 8 stays within 2 MB of one pair per stack and runs about 1.3x
-# faster than it.
-_STACK_PAIRS = 8
+        # ndarray.max, unlike the builtin max, carries a NaN through
+        return float(np.abs(np.concatenate((*self.slots.values(), [0.0]))).max())
 
 
 def verify_model(
@@ -461,16 +462,17 @@ def verify_model(
     unitarity and the braid relations. The braid generators
     rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed from the uniform-rule
     U_i, as in braid_generator_matrix; only under right_end="literal" are
-    those built a second time. Every relation is evaluated as the same
-    matrix expression a dense check would use, with sparse products (each
-    U_i has at most two nonzeros per column), so no dense matrix is formed.
-    The operands of a relation row are stacked, up to _STACK_PAIRS tuples at
-    a time, into block-diagonal matrices, and each expression is evaluated
-    once per stack; every entry is still summed in the same order as for a
-    single pair, so the residuals do not depend on the stacking. A NaN
-    residual fails its row. All residuals pass at delta = +-golden ratio
-    with a compatible phase; a generic delta fails the U_i U_(i+-1) U_i =
-    U_i row, which is the point of running it as a negative control.
+    those built a second time. Each matrix is held in _Sparse mask slots
+    (U_i has two: the diagonal and the flip of its center bit), and every
+    relation is evaluated operand pair by operand pair as the same matrix
+    expression a dense check would use. No dense matrix is formed and
+    nothing is sorted: every temporary holds dim + 1 values (6 KB at
+    n = 12), small enough that the allocator reuses its memory instead of
+    returning pages to the OS and faulting them in again. A NaN residual
+    fails its row. All
+    residuals pass at delta = +-golden ratio with a compatible phase; a
+    generic delta fails the U_i U_(i+-1) U_i = U_i row, which is the point
+    of running it as a negative control.
     Raises ValueError when n is outside 1..MATRIX_MAX_N or tol is
     negative or not finite.
     """
@@ -481,16 +483,16 @@ def verify_model(
     dim = fib_dim(n)
     gens = range(1, n + 2)
     us = [
-        _Sparse.coalesce(dim, *_generator_entries(n, i, params, right_end))
+        _Sparse.from_entries(n, *_generator_entries(n, i, params, right_end))
         for i in gens
     ]
     if right_end == _UNIFORM:
         rho_us = us
     else:
         rho_us = [
-            _Sparse.coalesce(dim, *_generator_entries(n, i, params)) for i in gens
+            _Sparse.from_entries(n, *_generator_entries(n, i, params)) for i in gens
         ]
-    eye = _Sparse(dim, np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex))
+    eye = _Sparse(n, {0: np.append(np.ones(dim, dtype=complex), 0.0)})
     phase = cmath.exp(1j * params.a_phase)
     rhos = [phase * eye + phase.conjugate() * u for u in rho_us]
     rho_invs = [phase.conjugate() * eye + phase * u for u in rho_us]
@@ -501,49 +503,33 @@ def verify_model(
 
     checks = []
 
-    def add(name, relation, operands):
-        stacks = (
-            map(_Sparse.stack, zip(*operands[s : s + _STACK_PAIRS]))
-            for s in range(0, len(operands), _STACK_PAIRS)
-        )
-        # np.max, unlike the builtin max, carries a NaN through to the row;
-        # an overflow at a huge delta shows up there, not as a warning
+    def add(name, residuals):
+        # an overflow at a huge delta shows up in the row, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = float(
-                np.max([relation(*ops).max_abs() for ops in stacks], initial=0.0)
-            )
+            worst = float(np.max([r.max_abs() for r in residuals], initial=0.0))
         checks.append(RelationCheck(name, worst, worst <= tol))
 
-    add("U_i^2 = delta U_i", lambda u: u @ u - dlt * u, [(u,) for u in us])
+    add("U_i^2 = delta U_i", (u @ u - dlt * u for u in us))
     add(
         "U_i U_j U_i = U_i (|i-j| = 1)",
-        lambda ui, uj: ui @ uj @ ui - ui,
-        [(us[i], us[j]) for i, j in near],
+        (us[i] @ us[j] @ us[i] - us[i] for i, j in near),
     )
     add(
         "U_i U_j = U_j U_i (|i-j| > 1)",
-        lambda ui, uj: ui @ uj - uj @ ui,
-        [(us[i], us[j]) for i, j in far],
+        (us[i] @ us[j] - us[j] @ us[i] for i, j in far),
     )
-    add("U_i symmetric", lambda u: u - u.T, [(u,) for u in us])
-    add(
-        "rho_i unitary",
-        lambda r, e: r @ r.conj().T - e,
-        [(r, eye) for r in rhos],
-    )
-    add(
-        "rho_i rho_i^-1 = I",
-        lambda r, ri, e: r @ ri - e,
-        [(r, ri, eye) for r, ri in zip(rhos, rho_invs)],
-    )
+    add("U_i symmetric", (u - u.T for u in us))
+    add("rho_i unitary", (r @ r.conj().T - eye for r in rhos))
+    add("rho_i rho_i^-1 = I", (r @ ri - eye for r, ri in zip(rhos, rho_invs)))
     add(
         "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
-        lambda ri, rj: ri @ rj @ ri - rj @ ri @ rj,
-        [(rhos[i], rhos[i + 1]) for i in range(k - 1)],
+        (
+            rhos[i] @ rhos[i + 1] @ rhos[i] - rhos[i + 1] @ rhos[i] @ rhos[i + 1]
+            for i in range(k - 1)
+        ),
     )
     add(
         "rho_i rho_j = rho_j rho_i (|i-j| > 1)",
-        lambda ri, rj: ri @ rj - rj @ ri,
-        [(rhos[i], rhos[j]) for i, j in far],
+        (rhos[i] @ rhos[j] - rhos[j] @ rhos[i] for i, j in far),
     )
     return VerifyReport(n=n, delta=dlt, tol=tol, checks=tuple(checks))

@@ -41,6 +41,23 @@ def _catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
+def _span_dim(indices: set[int]) -> int:
+    """Dimension of the TL subalgebra spanned by the generators U_i, i in
+    indices: Catalan(k + 1) for each run of k adjacent indices, multiplied.
+
+    Runs act on disjoint strands, and a run of k generators spans the whole
+    algebra on its k + 1 strands; Catalan(n) when all n - 1 are used.
+    """
+    dim, run = 1, 0
+    for i in range(1, max(indices, default=0) + 2):
+        if i in indices:
+            run += 1
+        else:
+            dim *= _catalan(run + 1)
+            run = 0
+    return dim
+
+
 ENUMERATION_MAX_N = 12
 # Catalan(12): the braid-word state may hold no more diagrams than there are
 # on the largest size enumerate_pairings supports.
@@ -52,7 +69,8 @@ STATE_MAX_DIAGRAMS = _catalan(ENUMERATION_MAX_N)
 # near 128 MiB. The benchmark's widest words count about 1.1M bits.
 STATE_MAX_BITS = 1 << 30
 # A word's worst-case work: letters times the bits of one packed polynomial
-# times the most diagrams its state may hold (Catalan(n), capped as above).
+# times the most diagrams its state may hold (the dimension of the TL
+# subalgebra its generators span, capped as above).
 # Each letter shifts and adds every diagram's int once or twice, so run time
 # grows with this count. At 2^40 the slowest admitted words measured take
 # about a minute (2-vCPU VM, Python 3.11): 68 s for sigma_1^6500 on 2
@@ -409,7 +427,8 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
     width = len(letters) + 2
     slots = 2 * len(letters) + 1
     bits = slots * width
-    max_diagrams = min(STATE_MAX_DIAGRAMS, STATE_MAX_BITS // bits, _catalan(n))
+    reachable = _span_dim({abs(ell) for ell in letters})
+    max_diagrams = min(STATE_MAX_DIAGRAMS, STATE_MAX_BITS // bits, reachable)
     if max_diagrams < 1:
         raise _cap_error(n, 1, bits)
     work = len(letters) * bits * max_diagrams

@@ -15,9 +15,16 @@ import pytest
 
 import tlbraid.cli as cli_module
 import tlbraid.tl as tl_module
-from tlbraid import BraidWord, normalized_bracket
+from tlbraid import (
+    BraidWord,
+    fibonacci_params,
+    make_params,
+    normalized_bracket,
+    verify_model,
+)
 from tlbraid.braid import BRAID_MAX_STRANDS
 from tlbraid.cli import main, parse_phase
+from tlbraid.fibrep import MATRIX_MAX_N
 
 TREFOIL = ["--strands", "2", "--word", "1 1 1"]
 REPO = Path(__file__).resolve().parents[1]
@@ -247,6 +254,28 @@ def test_fib_verify_json_failures():
     payload = json.loads(out, parse_constant=_reject_constant)
     nulls = [c for c in payload["checks"] if c["residual"] is None]
     assert nulls and not any(c["passed"] for c in nulls)
+
+
+@pytest.mark.parametrize(
+    "extra, params, code",
+    [
+        ([], fibonacci_params(1), 0),
+        (["--delta-sign", "-"], fibonacci_params(-1), 0),
+        (["--delta", "1.5"], make_params(1.5), 1),
+    ],
+)
+def test_fib_verify_at_the_largest_size(extra, params, code):
+    n = MATRIX_MAX_N
+    got, out, _ = _run(["fib-verify", "--n", str(n), *extra, "--json"])
+    assert got == code
+    report = verify_model(n, params)
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["n"] == n and payload["passed"] == report.passed
+    assert payload["checks"] == [
+        {"name": c.name, "residual": c.residual, "passed": c.passed}
+        for c in report.checks
+    ]
+    assert _run(["fib-verify", "--n", str(n), *extra])[0] == code
 
 
 def test_verify_tl_rejects_json():

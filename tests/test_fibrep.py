@@ -445,6 +445,73 @@ def test_perturbed_generator_fails_its_rows(monkeypatch, error):
     assert not report.passed
 
 
+def _same_rows(report, expected):
+    """Row names and pass flags equal, and each residual equal or both NaN."""
+    assert [(c.name, c.passed) for c in report.checks] == [
+        (c.name, c.passed) for c in expected.checks
+    ]
+    for got, want in zip(report.checks, expected.checks):
+        assert got.residual == want.residual or (
+            math.isnan(got.residual) and math.isnan(want.residual)
+        ), got.name
+
+
+def test_huge_delta_matches_per_pair_reference():
+    params = make_params(1e200)
+    for n in (*range(1, 8), MATRIX_MAX_N):
+        report = verify_model(n, params)
+        with np.errstate(all="ignore"):
+            expected = _per_pair_reference(n, params)
+        _same_rows(report, expected)
+
+
+@pytest.mark.parametrize("error", [math.nan, math.inf])
+@pytest.mark.parametrize("n", [4, 7])
+def test_non_finite_entry_matches_per_pair_reference(monkeypatch, n, error):
+    _perturb_entries(monkeypatch, 3, error)
+    params = fibonacci_params()
+    report = verify_model(n, params)
+    with np.errstate(all="ignore"):
+        expected = _per_pair_reference(n, params)
+    _same_rows(report, expected)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("delta", [PHI, 1.5])
+def test_entry_off_the_generator_masks_matches_dense_reference(monkeypatch, delta):
+    """Move one off-diagonal entry of U_3 to a column whose state differs
+    from its row's in two or more bits: a third mask, so a slot of a
+    product sums three or more mask pairs."""
+    build = fibrep._generator_entries
+
+    def moved(n, i, params, right_end="uniform"):
+        rows, cols, vals = build(n, i, params, right_end)
+        if i == 3:
+            states = fibrep._fib_states(n)
+            k = np.flatnonzero(rows != cols)[0]
+            taken = set(cols[rows == rows[k]].tolist())
+            cols = cols.copy()
+            cols[k] = next(
+                c
+                for c in range(len(states))
+                if bin(int(states[rows[k]] ^ states[c])).count("1") >= 2
+                and c not in taken
+            )
+        return rows, cols, vals
+
+    monkeypatch.setattr(fibrep, "_generator_entries", moved)
+    params = make_params(delta)
+    for n in (3, 4, 7):
+        report = verify_model(n, params)
+        expected = _dense_reference(n, params)
+        assert [(c.name, c.passed) for c in report.checks] == [
+            (name, passed) for name, _, passed in expected
+        ], n
+        for check, (_, residual, _) in zip(report.checks, expected):
+            assert abs(check.residual - residual) <= 1e-14, (n, check.name)
+        assert not report.passed
+
+
 def test_verify_model_builds_each_generator_once(monkeypatch):
     calls = []
     build = fibrep._generator_entries

@@ -505,3 +505,34 @@ def test_word_budget_refuses_before_the_first_letter(monkeypatch):
     monkeypatch.setattr(PlanarPairing, "compose", None)
     with pytest.raises(ValueError, match="work budget"):
         bracket_via_tl(BraidWord(3, (1, -2) * 2500))
+
+
+def _reachable_diagrams(n, indices):
+    """Diagrams reached from the identity by right-multiplying U_i,
+    i in indices: the basis of the subalgebra those generators span."""
+    gens = [PlanarPairing.generator(n, i) for i in indices]
+    seen = {PlanarPairing.identity(n)}
+    frontier = list(seen)
+    while frontier:
+        found = {d.compose(g)[0] for d in frontier for g in gens} - seen
+        seen |= found
+        frontier = list(found)
+    return len(seen)
+
+
+def test_span_dim_counts_reachable_diagrams():
+    for n in range(1, 7):
+        for bits in range(1 << (n - 1)):
+            indices = {i for i in range(1, n) if bits >> (i - 1) & 1}
+            assert tl_module._span_dim(indices) == _reachable_diagrams(n, indices)
+    assert tl_module._span_dim(set(range(1, 12))) == math.comb(24, 12) // 13
+
+
+def test_word_budget_counts_only_the_generators_used():
+    # charged for the whole algebra on 12 strands (up to the bit cap), the
+    # word's work is 1.18e12 > 2^40, but sigma_1 alone reaches 2 diagrams;
+    # each untouched strand closes into one more loop
+    word = BraidWord(12, (1,) * 1100)
+    assert bracket_via_tl(word) == delta() ** 10 * bracket_via_tl(
+        BraidWord(2, (1,) * 1100)
+    )
