@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .laurent import LaurentPoly, delta_power, jones_substitute
+from .laurent import LaurentPoly, delta, delta_power, jones_substitute
 from .tl import trace_braid_word
 
 STATE_SUM_MAX_LETTERS = 24
@@ -42,9 +42,13 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
     arcs: at each crossing the strand-preserving smoothing joins the NW arc
     to the SW arc and NE to SE, the cup-cap smoothing joins NW to NE and SW
     to SE. States are enumerated in numpy blocks that share the joins of a
-    common prefix of crossings, but every state keeps its own row to the
-    end -- states are never merged by connectivity, which would turn the
-    oracle into the transfer matrix of the TL route.
+    common prefix of crossings. A block is held arc-major, one int8 label
+    row per live arc and one column per state, and each crossing forms both
+    of its smoothings in one (arcs, 2, states) array, so every numpy call
+    runs along the states. Every state keeps its own column to the end --
+    states are never merged by connectivity, which would turn the oracle
+    into the transfer matrix of the TL route. The result is summed by
+    Horner's rule in delta over the loop counts.
     """
     n, letters = word.strands, word.letters
     num = len(letters)
@@ -75,58 +79,63 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
 
     import numpy as np
 
-    # Each row of a block is one partial state: a component label per live
-    # arc, the component count and the exponent of A so far. An arc's
-    # column is dropped after the last crossing that touches it, since no
+    # labels[i, s] is the component label of live arc i in state s. Labels,
+    # component counts and A-exponents fit int8: there are at most
+    # 2 * STATE_SUM_MAX_LETTERS = 48 arcs, and |exponent| <= letters. An
+    # arc's row is dropped after the last crossing that touches it, since no
     # later join reads its label.
     last = [0] * arcs
     for port, k in enumerate(arc):
         last[k] = port // 4
     live = list(range(arcs))
     steps = []
+    shift = np.array([[1], [-1]], dtype=np.int8)  # per smoothing, letter > 0
     for c, ell in enumerate(letters):
-        col = {k: i for i, k in enumerate(live)}
-        nw, ne, sw, se = (col[k] for k in arc[4 * c : 4 * c + 4])
-        sign = 1 if ell > 0 else -1
+        row = {k: i for i, k in enumerate(live)}
+        nw, ne, sw, se = (row[k] for k in arc[4 * c : 4 * c + 4])
         kept = [i for i, k in enumerate(live) if last[k] > c]
         live = [live[i] for i in kept]
-        smoothings = ((sign, ((nw, sw), (ne, se))), (-sign, ((nw, ne), (sw, se))))
-        steps.append((smoothings, np.array(kept, dtype=np.intp)))
-
-    def smooth(labels, comps, joins, kept):
-        # joining arcs a and b relabels b's component with a's label
-        for a, b in joins:
-            la, lb = labels[:, a : a + 1], labels[:, b : b + 1]
-            comps = comps - (la[:, 0] != lb[:, 0])
-            labels = np.where(labels == lb, la, labels)
-        return labels[:, kept], comps
+        # smoothing 0 joins NW-SW then NE-SE, smoothing 1 NW-NE then SW-SE
+        ports = np.array([[nw, sw, ne, se], [nw, ne, sw, se]], dtype=np.intp)
+        kept = np.array(kept, dtype=np.intp)
+        steps.append((ports, shift if ell > 0 else -shift, kept))
 
     hist = np.zeros((2 * num + 1) * (arcs + 1), dtype=np.int64)
-    first = (np.arange(arcs, dtype=np.int8)[None, :], np.array([arcs]), np.array([0]))
-    stack = [(0, *first)]
+    labels = np.arange(arcs, dtype=np.int8)[:, None]
+    stack = [(0, labels, np.array([arcs], dtype=np.int8), np.zeros(1, dtype=np.int8))]
     while stack:
         c, labels, comps, exps = stack.pop()
-        if c == num:
-            keys = (exps + num) * (arcs + 1) + comps
-            hist += np.bincount(keys, minlength=hist.size)
+        ports, shifts, kept = steps[c]
+        # Joining arcs a and b relabels b's component with a's label; the
+        # second join reads its two labels as the first join left them.
+        ends = labels[ports]  # (smoothings, a b a b, states)
+        la, lb = ends[:, 0], ends[:, 1]
+        step = la - lb
+        ends[:, 2:] += (ends[:, 2:] == lb[:, None]) * step[:, None]
+        la2, lb2 = ends[:, 2], ends[:, 3]
+        comps = comps - (la != lb) - (la2 != lb2)
+        exps = exps + shifts
+        if c + 1 == num:
+            keys = (exps.astype(np.intp) + num) * (arcs + 1) + comps
+            hist += np.bincount(keys.ravel(), minlength=hist.size)
             continue
-        smoothings, kept = steps[c]
-        halves = [
-            (*smooth(labels, comps, joins, kept), exps + shift)
-            for shift, joins in smoothings
-        ]
-        if 2 * len(comps) <= _STATE_SUM_BLOCK_ROWS:
-            halves = [tuple(np.concatenate(part) for part in zip(*halves))]
+        both = labels[kept][:, None, :]  # (live arcs, smoothings, states)
+        both = both + (both == lb) * step
+        both += (both == lb2) * (la2 - lb2)
+        halves = [(both[:, j], comps[j], exps[j]) for j in (0, 1)]
+        if 2 * comps.shape[1] <= _STATE_SUM_BLOCK_ROWS:
+            halves = [(both.reshape(len(kept), -1), comps.ravel(), exps.ravel())]
         stack.extend((c + 1, *half) for half in halves)
 
-    # one polynomial per component count, times its delta power
+    # Horner in delta over the component counts, one polynomial per count
     counts = hist.reshape(2 * num + 1, arcs + 1)
-    total = LaurentPoly.zero()
-    for components in np.flatnonzero(counts.any(axis=0)).tolist():
+    used = np.flatnonzero(counts.any(axis=0)).tolist()
+    total, loop = LaurentPoly.zero(), delta()
+    for components in range(used[-1], used[0] - 1, -1):
         column = counts[:, components].tolist()
         poly = LaurentPoly({s - num: c for s, c in enumerate(column) if c})
-        total = total + poly * delta_power(free_loops + components - 1)
-    return total
+        total = total * loop + poly
+    return total * delta_power(free_loops + used[0] - 1)
 
 
 def bracket_via_tl(word: BraidWord) -> LaurentPoly:

@@ -108,10 +108,11 @@ def cmd_bracket(args) -> int:
     word = parse_braid(args.word, args.strands)
     tl_poly = None
     oracle_poly = None
-    if args.both or not args.oracle:
-        tl_poly = bracket_via_tl(word)
+    # the oracle first: it refuses a word past its letter cap before any work
     if args.both or args.oracle:
         oracle_poly = bracket_state_sum(word)
+    if args.both or not args.oracle:
+        tl_poly = bracket_via_tl(word)
     poly = tl_poly if tl_poly is not None else oracle_poly
     if args.normalized:
         poly = writhe_normalize(word, poly)

@@ -238,7 +238,7 @@ def test_oracle_matches_reference_walk_random():
         assert bracket_state_sum(w) == _reference_state_sum(w), w
 
 
-@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("rows", [1, 2, 3])
 def test_depth_first_blocks_give_identical_results(monkeypatch, rows):
     words = _random_words(77, 40, max_strands=6, max_letters=12)
     expected = [bracket_state_sum(w) for w in words]
@@ -261,4 +261,13 @@ def test_oracle_long_word_against_tl_route():
     # 2^20 states; the 25-letter cap is checked by test_oracle_cap_points_at_tl_path
     rng = random.Random(20)
     w = BraidWord(5, tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(20)))
+    assert bracket_state_sum(w) == bracket_via_tl(w)
+
+
+def test_oracle_at_its_letter_cap_against_tl_route():
+    # 24 letters: 2^24 states on 48 arcs, so labels, component counts and
+    # A-exponents (from -24 to 24) reach the widest values the oracle holds
+    rng = random.Random(24)
+    w = BraidWord(5, tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(24)))
+    assert len(w.letters) == bracket_module.STATE_SUM_MAX_LETTERS
     assert bracket_state_sum(w) == bracket_via_tl(w)

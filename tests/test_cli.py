@@ -435,6 +435,17 @@ def test_oracle_cap_reported_as_input_error():
     assert code == 0
 
 
+def test_both_routes_refused_by_the_oracle_cap_before_any_tl_work(monkeypatch):
+    def no_work(word):
+        raise AssertionError("the TL route ran before the oracle's letter cap")
+
+    monkeypatch.setattr(cli_module, "bracket_via_tl", no_work)
+    word = " ".join(["1 -2"] * 12 + ["1"])
+    code, out, err = _run(["bracket", "--strands", "3", "--word", word, "--both"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "cap is 24 letters" in err
+
+
 def test_tl_state_cap_reported_as_input_error(monkeypatch):
     monkeypatch.setattr(tl_module, "STATE_MAX_DIAGRAMS", 10)
     word = ["--strands", "6", "--word", "1 2 3 4 5 1 2 3 4 5"]
