@@ -17,9 +17,7 @@ from .fibrep import (
     GOLDEN_RATIO,
     FibBasis,
     ModelParams,
-    RelationCheck,
     ThreeStrandFamily,
-    VerifyReport,
     braid_generator_matrix,
     braid_word_matrix,
     compatible_phase,
@@ -37,10 +35,13 @@ from .fibrep import (
 from .laurent import LaurentPoly, delta, format_jones, jones_substitute
 from .tl import (
     PlanarPairing,
+    RelationCheck,
     TLElement,
+    VerifyReport,
     enumerate_pairings,
     markov_trace,
     rep_braid_word,
+    verify_relations,
 )
 
 __version__ = "0.1.0"
@@ -84,4 +85,5 @@ __all__ = [
     "three_strand_family",
     "tl_generator_matrix",
     "verify_model",
+    "verify_relations",
 ]

@@ -30,8 +30,8 @@ from .fibrep import (
     tl_generator_matrix,
     verify_model,
 )
-from .laurent import delta, format_jones
-from .tl import TLElement, markov_trace
+from .laurent import format_jones
+from .tl import verify_relations
 
 # Each table row recomputes its dimension, so the table costs O(max^2)
 # big-int additions; f_1001 already has 210 digits.
@@ -97,11 +97,10 @@ def _matrix_json_entries(mat) -> list:
 
 
 def _params_from_args(args):
-    phase = parse_phase(args.phase) if getattr(args, "phase", None) else None
-    if getattr(args, "delta", None) is not None:
+    phase = parse_phase(args.phase) if args.phase else None
+    if args.delta is not None:
         return make_params(args.delta, phase)
-    sign = -1 if getattr(args, "delta_sign", "+") == "-" else 1
-    return fibonacci_params(sign, phase)
+    return fibonacci_params(-1 if args.delta_sign == "-" else 1, phase)
 
 
 def cmd_bracket(args) -> int:
@@ -199,110 +198,50 @@ def cmd_fib_matrix(args) -> int:
     return 0
 
 
-def _print_report(report) -> int:
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        print(f"{check.name:<48} {check.residual:>12.3e}  {status}")
-    if report.passed:
-        print(f"all relations hold at tol {report.tol:g}")
-        return 0
+def _print_report(report, as_json: bool) -> int:
+    """Print a VerifyReport, as text or JSON; return its exit code.
+
+    An exact report (tol None) shows exact or differs in the residual column.
+    """
+    if as_json:
+        # strict JSON: a non-finite residual has no JSON number, so it is null
+        payload = {
+            "n": report.n,
+            "delta": report.delta,
+            "tol": report.tol,
+            "passed": report.passed,
+            "checks": [
+                {
+                    "name": c.name,
+                    "residual": c.residual if math.isfinite(c.residual) else None,
+                    "passed": c.passed,
+                }
+                for c in report.checks
+            ],
+        }
+        print(json.dumps(payload, allow_nan=False))
+        return 0 if report.passed else 1
+    exact = report.tol is None
+    for c in report.checks:
+        shown = ("exact" if c.passed else "differs") if exact else f"{c.residual:.3e}"
+        print(f"{c.name:<48} {shown:>12}  {'PASS' if c.passed else 'FAIL'}")
     failed = sum(1 for c in report.checks if not c.passed)
-    print(f"{failed} relation(s) FAILED at tol {report.tol:g}")
-    return 1
-
-
-def _print_report_json(report) -> int:
-    # strict JSON: a non-finite residual has no JSON number, so it is null
-    payload = {
-        "n": report.n,
-        "delta": report.delta,
-        "tol": report.tol,
-        "passed": report.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "residual": c.residual if math.isfinite(c.residual) else None,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
-    }
-    print(json.dumps(payload, allow_nan=False))
-    return 0 if report.passed else 1
-
-
-def cmd_fib_verify(args) -> int:
-    params = _params_from_args(args)
-    report = verify_model(args.n, params, tol=args.tol, right_end=args.right_end)
-    return _print_report_json(report) if args.json else _print_report(report)
-
-
-def _verify_tl_exact(n: int) -> int:
-    if n < 1:
-        raise ValueError("--n must be >= 1")
-    if n > 12:
-        raise ValueError("--n must be <= 12 for the diagram algebra suite")
-    dlt = delta()
-    gens = [TLElement.generator(n, i) for i in range(1, n)]
-    rows: list[tuple[str, bool]] = []
-
-    def every(pairs):
-        return all(lhs == rhs for lhs, rhs in pairs)
-
-    rows.append(
-        (
-            "U_i U_i = delta U_i",
-            every((g * g, g.scale(dlt)) for g in gens),
-        )
-    )
-    rows.append(
-        (
-            "U_i U_j U_i = U_i (|i-j| = 1)",
-            every(
-                (gens[i] * gens[j] * gens[i], gens[i])
-                for i in range(len(gens))
-                for j in (i - 1, i + 1)
-                if 0 <= j < len(gens)
-            ),
-        )
-    )
-    rows.append(
-        (
-            "U_i U_j = U_j U_i (|i-j| > 1)",
-            every(
-                (gens[i] * gens[j], gens[j] * gens[i])
-                for i in range(len(gens))
-                for j in range(i + 2, len(gens))
-            ),
-        )
-    )
-    rows.append(
-        (
-            "trace(U_i U_j) = trace(U_j U_i)",
-            every(
-                (markov_trace(gens[i] * gens[j]), markov_trace(gens[j] * gens[i]))
-                for i in range(len(gens))
-                for j in range(len(gens))
-            ),
-        )
-    )
-    ok_all = True
-    for name, ok in rows:
-        ok_all = ok_all and ok
-        print(f"{name:<48} {'exact' if ok else 'differs':>12}  {'PASS' if ok else 'FAIL'}")
-    if ok_all:
-        print("all relations hold exactly")
-        return 0
-    print("some relations FAILED")
-    return 1
+    if exact:
+        print("some relations FAILED" if failed else "all relations hold exactly")
+    elif failed:
+        print(f"{failed} relation(s) FAILED at tol {report.tol:g}")
+    else:
+        print(f"all relations hold at tol {report.tol:g}")
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
     if args.module == "tl":
-        if args.json:
-            raise ValueError("--json is only available with --module fib")
-        return _verify_tl_exact(args.n)
-    return cmd_fib_verify(args)
+        report = verify_relations(args.n)
+    else:
+        params = _params_from_args(args)
+        report = verify_model(args.n, params, tol=args.tol, right_end=args.right_end)
+    return _print_report(report, args.json)
 
 
 def _add_braid_args(sub):
@@ -402,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
     _add_params_args(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fib_verify)
+    p.set_defaults(func=cmd_verify, module="fib")
 
     p = commands.add_parser("verify", help="relation suite (exact tl or numeric fib)")
     p.add_argument("--module", choices=["tl", "fib"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     _add_params_args(p)
-    p.add_argument("--json", action="store_true", help="fib module only")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     return parser

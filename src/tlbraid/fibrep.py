@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .tl import RelationCheck, VerifyReport
+
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 FIBONACCI_PHASE = 3.0 * math.pi / 5.0
 
@@ -66,6 +68,9 @@ class FibBasis:
         return f"FibBasis(n={self.n}, dim={len(self.sequences)})"
 
 
+_LETTERS = str.maketrans("01", "P*")
+
+
 @lru_cache(maxsize=None)
 def fib_sequences(n: int) -> FibBasis:
     """All length-n strings over {P, *} with no two adjacent stars.
@@ -75,22 +80,10 @@ def fib_sequences(n: int) -> FibBasis:
     """
     if not 1 <= n <= SEQUENCE_MAX_N:
         raise ValueError(f"sequence enumeration supports 1 <= n <= {SEQUENCE_MAX_N}")
-    out: list[str] = []
-
-    def extend(prefix: list[str]):
-        if len(prefix) == n:
-            out.append("".join(prefix))
-            return
-        prefix.append("P")
-        extend(prefix)
-        prefix.pop()
-        if not prefix or prefix[-1] != "*":
-            prefix.append("*")
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return FibBasis(n, tuple(out))
+    spec = f"0{n}b"
+    return FibBasis(
+        n, tuple([format(s, spec).translate(_LETTERS) for s in _fib_states(n).tolist()])
+    )
 
 
 @dataclass(frozen=True)
@@ -172,7 +165,8 @@ _LITERAL = "literal"
 
 @lru_cache(maxsize=None)
 def _fib_states(n: int) -> np.ndarray:
-    """fib_sequences(n) as ints, letter k at bit n-1-k with * = 1.
+    """The basis of fib_sequences(n) as ints, letter k at bit n-1-k with
+    * = 1; fib_sequences writes these out as strings.
 
     Numeric order is the basis order (P < *). Built by the recursion
     states(n) = states(n-1) ++ (1 << (n-1) | states(n-2)): a string is P
@@ -336,27 +330,6 @@ def three_strand_family(theta: float) -> ThreeStrandFamily:
     r = lam * np.eye(2, dtype=complex) + lam.conjugate() * u
     s = f @ r @ f
     return ThreeStrandFamily(theta=theta, delta=dlt, u=u, f=f, v=v, r=r, s=s)
-
-
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    residual: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Relation-by-relation residuals for one parameter point."""
-
-    n: int
-    delta: float
-    tol: float
-    checks: tuple[RelationCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 @lru_cache(maxsize=None)

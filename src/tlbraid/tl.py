@@ -23,17 +23,19 @@ only those sums. A packed int holds (2L + 1) * B bits, so the state is
 capped both in diagrams (STATE_MAX_DIAGRAMS) and in bits (STATE_MAX_BITS),
 and a word whose worst-case work exceeds WORD_MAX_WORK is refused before
 its first letter. The general TLElement product and markov_trace serve the
-exact relation suite.
+exact relation suite, verify_relations, which reports in the VerifyReport
+shape that fibrep's numeric suite shares.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from typing import Callable
 
 from .braid import BraidWord
-from .laurent import LaurentPoly, delta_power
+from .laurent import LaurentPoly, delta, delta_power
 
 
 def _catalan(n: int) -> int:
@@ -546,3 +548,70 @@ def markov_trace(element: TLElement) -> LaurentPoly:
     for diagram, coeff in element.terms.items():
         total = total + coeff * delta_power(diagram.closure_loops() - 1)
     return total
+
+
+@dataclass(frozen=True)
+class RelationCheck:
+    name: str
+    residual: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """Relation-by-relation residuals for one parameter point.
+
+    delta and tol are None on the exact suite (verify_relations): its loop
+    value is the polynomial -A^2 - A^-2, not a number, and a row passes only
+    on equality, with residual 0.0 when it holds and math.inf when not.
+    """
+
+    n: int
+    delta: float | None
+    tol: float | None
+    checks: tuple[RelationCheck, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def verify_relations(n: int) -> VerifyReport:
+    """The Temperley-Lieb relations on n strands, exactly in the diagram algebra.
+
+    Checks U_i U_i = delta U_i, U_i U_j U_i = U_i for adjacent i and j,
+    U_i U_j = U_j U_i for distant ones, and trace(U_i U_j) = trace(U_j U_i),
+    comparing LaurentPoly coefficients with ==. Raises ValueError when n is
+    outside 1..12.
+    """
+    if n < 1:
+        raise ValueError("--n must be >= 1")
+    if n > 12:
+        raise ValueError("--n must be <= 12 for the diagram algebra suite")
+    dlt = delta()
+    gens = [TLElement.generator(n, i) for i in range(1, n)]
+    k = len(gens)
+    near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
+    far = [(i, j) for i in range(k) for j in range(i + 2, k)]
+
+    def holds(pairs) -> bool:
+        return all(lhs == rhs for lhs, rhs in pairs)
+
+    rows = {
+        "U_i U_i = delta U_i": holds((g * g, g.scale(dlt)) for g in gens),
+        "U_i U_j U_i = U_i (|i-j| = 1)": holds(
+            (gens[i] * gens[j] * gens[i], gens[i]) for i, j in near
+        ),
+        "U_i U_j = U_j U_i (|i-j| > 1)": holds(
+            (gens[i] * gens[j], gens[j] * gens[i]) for i, j in far
+        ),
+        "trace(U_i U_j) = trace(U_j U_i)": holds(
+            (markov_trace(gens[i] * gens[j]), markov_trace(gens[j] * gens[i]))
+            for i in range(k)
+            for j in range(k)
+        ),
+    }
+    checks = tuple(
+        RelationCheck(name, 0.0 if ok else math.inf, ok) for name, ok in rows.items()
+    )
+    return VerifyReport(n=n, delta=None, tol=None, checks=checks)

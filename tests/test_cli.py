@@ -17,10 +17,12 @@ import tlbraid.cli as cli_module
 import tlbraid.tl as tl_module
 from tlbraid import (
     BraidWord,
+    LaurentPoly,
     fibonacci_params,
     make_params,
     normalized_bracket,
     verify_model,
+    verify_relations,
 )
 from tlbraid.braid import BRAID_MAX_STRANDS
 from tlbraid.cli import main, parse_phase
@@ -278,10 +280,50 @@ def test_fib_verify_at_the_largest_size(extra, params, code):
     assert _run(["fib-verify", "--n", str(n), *extra])[0] == code
 
 
-def test_verify_tl_rejects_json():
-    code, out, err = _run(["verify", "--module", "tl", "--n", "3", "--json"])
-    assert code == 2 and out == ""
-    assert "--module fib" in err
+def test_verify_tl_json_report():
+    for n in (1, 4, 12):
+        argv = ["verify", "--module", "tl", "--n", str(n)]
+        code, out, err = _run([*argv, "--json"])
+        assert code == 0 and err == ""
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload == {
+            "n": n,
+            "delta": None,
+            "tol": None,
+            "passed": True,
+            "checks": [
+                {"name": c.name, "residual": c.residual, "passed": c.passed}
+                for c in verify_relations(n).checks
+            ],
+        }
+        lines = _run(argv)[1].splitlines()[:-1]
+        assert len(lines) == len(payload["checks"])
+        for check, line in zip(payload["checks"], lines):
+            assert line.startswith(check["name"] + " ")
+        # the exact suite takes no loop value: fib-only options are ignored
+        assert _run([*argv, "--delta", "0.5", "--json"]) == (code, out, err)
+
+
+def test_verify_tl_reports_a_failing_row(monkeypatch):
+    # a wrong loop value breaks only the row that multiplies by it
+    monkeypatch.setattr(tl_module, "delta", lambda: LaurentPoly({2: -1}))
+    argv = ["verify", "--module", "tl", "--n", "4"]
+    code, out, _ = _run(argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == f"{'U_i U_i = delta U_i':<48} {'differs':>12}  FAIL"
+    assert all(line.endswith("exact  PASS") for line in lines[1:-1])
+    assert lines[-1] == "some relations FAILED" and len(lines) == 5
+    code, out, _ = _run([*argv, "--json"])
+    assert code == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["passed"] is False
+    assert [(c["residual"], c["passed"]) for c in payload["checks"]] == [
+        (None, False),
+        (0.0, True),
+        (0.0, True),
+        (0.0, True),
+    ]
 
 
 def test_repeated_runs_are_byte_identical():
@@ -289,6 +331,8 @@ def test_repeated_runs_are_byte_identical():
         ["bracket", *TREFOIL, "--json"],
         ["jones", "--strands", "3", "--word", "1 -2 1 -2"],
         ["fib-verify", "--n", "4"],
+        ["verify", "--module", "tl", "--n", "4"],
+        ["verify", "--module", "tl", "--n", "4", "--json"],
         ["fib-matrix", "--n", "3", "--gen", "2", "--braid"],
     ):
         assert _run(argv) == _run(argv)

@@ -52,6 +52,7 @@ def test_sequence_enumeration_order_and_content():
     basis = fib_sequences(8)
     for seq in basis:
         assert "**" not in seq
+    assert len(set(basis.sequences)) == len(basis)
     # lexicographic with P < *
     key = [s.replace("P", "0").replace("*", "1") for s in basis]
     assert key == sorted(key)
@@ -165,11 +166,13 @@ def _reference_generator_matrix(n, i, params, right_end="uniform"):
 
 
 def test_integer_states_decode_to_the_basis():
-    for n in range(1, MATRIX_MAX_N + 1):
-        states = fibrep._fib_states(n)
+    # fib_sequences is built from these states, so check both against the
+    # definition: ints with no two adjacent set bits, in increasing order
+    for n in range(1, 17):
+        want = [s for s in range(1 << n) if not s & (s >> 1)]
+        assert fibrep._fib_states(n).tolist() == want, n
         decoded = tuple(
-            format(int(s), f"0{n}b").replace("0", "P").replace("1", "*")
-            for s in states
+            format(s, f"0{n}b").replace("0", "P").replace("1", "*") for s in want
         )
         assert decoded == fib_sequences(n).sequences, n
 

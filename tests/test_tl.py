@@ -1,23 +1,28 @@
 """Diagrammatic Temperley-Lieb algebra: pairings, composition, traces."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tlbraid.fibrep as fibrep_module
 import tlbraid.tl as tl_module
 from tlbraid import (
     BraidWord,
     LaurentPoly,
     PlanarPairing,
     TLElement,
+    VerifyReport,
     bracket_via_tl,
     delta,
     enumerate_pairings,
     markov_trace,
     rep_braid_word,
+    verify_relations,
 )
 
 
@@ -536,3 +541,68 @@ def test_word_budget_counts_only_the_generators_used():
     assert bracket_via_tl(word) == delta() ** 10 * bracket_via_tl(
         BraidWord(2, (1,) * 1100)
     )
+
+
+def test_verify_relations_exact_report():
+    names = [
+        "U_i U_i = delta U_i",
+        "U_i U_j U_i = U_i (|i-j| = 1)",
+        "U_i U_j = U_j U_i (|i-j| > 1)",
+        "trace(U_i U_j) = trace(U_j U_i)",
+    ]
+    for n in range(1, 7):
+        report = verify_relations(n)
+        assert report.n == n and report.delta is None and report.tol is None
+        assert [c.name for c in report.checks] == names
+        assert all(c.passed and c.residual == 0.0 for c in report.checks)
+        assert report.passed
+    for n in (0, 13):
+        with pytest.raises(ValueError, match="--n must be"):
+            verify_relations(n)
+    # one report type for the exact and the numeric suites
+    assert fibrep_module.VerifyReport is VerifyReport
+
+
+def test_verify_relations_fails_under_a_wrong_loop_value(monkeypatch):
+    monkeypatch.setattr(tl_module, "delta", lambda: LaurentPoly({2: -1}))
+    report = verify_relations(4)
+    assert not report.passed
+    assert [(c.residual, c.passed) for c in report.checks] == [
+        (math.inf, False),
+        (0.0, True),
+        (0.0, True),
+        (0.0, True),
+    ]
+
+
+def _module_level_imports(source: str):
+    """Names imported by a module's own code, outside function bodies."""
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_numpy(source: str) -> bool:
+    return any(
+        name == "numpy" or name.startswith("numpy.")
+        for name in _module_level_imports(source)
+    )
+
+
+def test_exact_modules_do_not_import_numpy_at_module_level():
+    # the exact side, report types included, loads without numpy; a numpy
+    # import inside a function (bracket_state_sum's) is allowed
+    src = Path(tl_module.__file__).parent
+    for name in ("laurent", "braid", "tl", "bracket"):
+        assert not _imports_numpy((src / f"{name}.py").read_text()), name
+    assert _imports_numpy((src / "fibrep.py").read_text())
+    assert _imports_numpy("try:\n    from numpy import linalg\nexcept ImportError:\n    pass")
+    assert _imports_numpy("class C:\n    import numpy.random")
+    assert not _imports_numpy("def f():\n    import numpy as np")
