@@ -15,7 +15,6 @@ from .bracket import (
 from .fibrep import (
     FIBONACCI_PHASE,
     GOLDEN_RATIO,
-    FibBasis,
     ModelParams,
     ThreeStrandFamily,
     braid_generator_matrix,
@@ -50,7 +49,6 @@ __all__ = [
     "BraidWord",
     "ChiralityCertificate",
     "FIBONACCI_PHASE",
-    "FibBasis",
     "GOLDEN_RATIO",
     "LaurentPoly",
     "ModelParams",

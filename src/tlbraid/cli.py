@@ -96,6 +96,12 @@ def _matrix_json_entries(mat) -> list:
     return [[float(v.real), float(v.imag)] for row in mat for v in row]
 
 
+def _given(args, *names) -> dict:
+    """The named options given, as keywords; one left at its None parser
+    default takes its default from the library call that reads it."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _params_from_args(args):
     phase = parse_phase(args.phase) if args.phase else None
     if args.delta is not None:
@@ -177,12 +183,14 @@ def cmd_dims(args) -> int:
 
 
 def cmd_fib_matrix(args) -> int:
+    if args.braid and args.right_end is not None:
+        raise ValueError("--right-end applies to U_i matrices, not to --braid")
     params = _params_from_args(args)
     if args.braid:
         mat = braid_generator_matrix(args.n, args.gen, params)
         complex_entries = True
     else:
-        mat = tl_generator_matrix(args.n, args.gen, params, right_end=args.right_end)
+        mat = tl_generator_matrix(args.n, args.gen, params, **_given(args, "right_end"))
         complex_entries = False
     if args.json:
         payload = {
@@ -237,10 +245,14 @@ def _print_report(report, as_json: bool) -> int:
 
 def cmd_verify(args) -> int:
     if args.module == "tl":
+        fib_only = _given(args, "delta", "delta_sign", "phase", "tol", "right_end")
+        if fib_only:
+            flags = ", ".join("--" + name.replace("_", "-") for name in fib_only)
+            raise ValueError(f"--module tl takes only --n and --json, not {flags}")
         report = verify_relations(args.n)
     else:
         params = _params_from_args(args)
-        report = verify_model(args.n, params, tol=args.tol, right_end=args.right_end)
+        report = verify_model(args.n, params, **_given(args, "tol", "right_end"))
     return _print_report(report, args.json)
 
 
@@ -258,7 +270,6 @@ def _add_params_args(sub):
     sub.add_argument(
         "--delta-sign",
         choices=["+", "-"],
-        default="+",
         help="sign of the golden-ratio loop value (default +)",
     )
     sub.add_argument(
@@ -276,7 +287,6 @@ def _add_params_args(sub):
     sub.add_argument(
         "--right-end",
         choices=["uniform", "literal"],
-        default="uniform",
         help="window rule at the last position (literal is diagnostic only)",
     )
 
@@ -338,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("fib-verify", help="relation suite on the sequence space")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float)
     _add_params_args(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify, module="fib")
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("verify", help="relation suite (exact tl or numeric fib)")
     p.add_argument("--module", choices=["tl", "fib"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float)
     _add_params_args(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

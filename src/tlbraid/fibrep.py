@@ -37,42 +37,11 @@ def fib_dim(n: int) -> int:
     return cur
 
 
-class FibBasis:
-    """The ordered basis of length-n admissible strings, P before *."""
-
-    __slots__ = ("n", "sequences", "_index")
-
-    def __init__(self, n: int, sequences: tuple[str, ...]):
-        self.n = n
-        self.sequences = sequences
-        self._index = {seq: k for k, seq in enumerate(sequences)}
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "_index"):
-            raise AttributeError("FibBasis is immutable")
-        object.__setattr__(self, name, value)
-
-    def __len__(self):
-        return len(self.sequences)
-
-    def __iter__(self):
-        return iter(self.sequences)
-
-    def __getitem__(self, k):
-        return self.sequences[k]
-
-    def index(self, seq: str) -> int:
-        return self._index[seq]
-
-    def __repr__(self):
-        return f"FibBasis(n={self.n}, dim={len(self.sequences)})"
-
-
 _LETTERS = str.maketrans("01", "P*")
 
 
 @lru_cache(maxsize=None)
-def fib_sequences(n: int) -> FibBasis:
+def fib_sequences(n: int) -> tuple[str, ...]:
     """All length-n strings over {P, *} with no two adjacent stars.
 
     Lexicographic with P < *, so e.g. n=2 lists PP, P*, *P. The count is
@@ -81,9 +50,7 @@ def fib_sequences(n: int) -> FibBasis:
     if not 1 <= n <= SEQUENCE_MAX_N:
         raise ValueError(f"sequence enumeration supports 1 <= n <= {SEQUENCE_MAX_N}")
     spec = f"0{n}b"
-    return FibBasis(
-        n, tuple([format(s, spec).translate(_LETTERS) for s in _fib_states(n).tolist()])
-    )
+    return tuple([format(s, spec).translate(_LETTERS) for s in _fib_states(n).tolist()])
 
 
 @dataclass(frozen=True)
@@ -93,8 +60,8 @@ class ModelParams:
     delta is the loop value, a = 1/delta and b = sqrt(1 - delta^-2) are the
     window-rule couplings, a_phase is the argument of the bracket variable
     A on the unit circle, and (lam, mu) are the two local exchange
-    eigenvalues with mu = -lam^-3. Build instances with make_params or
-    fibonacci_params rather than directly.
+    eigenvalues lam = conj(A) and mu = -lam^-3. Build instances with
+    make_params or fibonacci_params rather than directly.
     """
 
     delta: float
@@ -119,16 +86,14 @@ def compatible_phase(delta: float) -> float:
     return FIBONACCI_PHASE
 
 
-def make_params(
-    delta: float, a_phase: float | None = None, lam: complex | None = None
-) -> ModelParams:
+def make_params(delta: float, a_phase: float | None = None) -> ModelParams:
     """Build ModelParams for a given loop value.
 
     Requires a finite delta with delta^2 >= 1 so b is real, and a finite
-    a_phase and lam when given. When a_phase is omitted a phase
-    compatible with delta is chosen; when lam is omitted it defaults to
-    conj(A), the exchange eigenvalue convention under which
-    delta = lam*(mu - lam) holds at every compatible phase.
+    a_phase when given; when a_phase is omitted a phase compatible with
+    delta is chosen. The exchange eigenvalues are lam = conj(A) and
+    mu = -lam^-3, under which delta = lam*(mu - lam) holds at every
+    compatible phase.
     """
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta!r}")
@@ -140,14 +105,7 @@ def make_params(
         a_phase = compatible_phase(delta)
     elif not math.isfinite(a_phase):
         raise ValueError(f"phase must be finite, got {a_phase!r}")
-    bracket_a = cmath.exp(1j * a_phase)
-    if lam is None:
-        lam = bracket_a.conjugate()
-    lam = complex(lam)
-    if not cmath.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam!r}")
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise ValueError("lam must have unit modulus")
+    lam = cmath.exp(1j * a_phase).conjugate()
     mu = -(lam ** -3)
     return ModelParams(delta=delta, a=a, b=b, a_phase=a_phase, lam=lam, mu=mu)
 
@@ -278,7 +236,7 @@ def f_matrix(params: ModelParams) -> np.ndarray:
 def r_matrix(params: ModelParams) -> np.ndarray:
     """The local exchange matrix diag(mu, lam) on {|*>, |P>}.
 
-    With the default lam = conj(A) at the golden point this is
+    With lam = conj(A) at the golden point this is
     diag(e^(4*pi*i/5), -e^(2*pi*i/5)), the classic Fibonacci braiding
     eigenvalues; it coincides with the inverse braid generator on one
     label, basis order swapped.

@@ -129,8 +129,13 @@ class LaurentPoly:
         """Evaluate at A = e^(i*theta) on the unit circle.
 
         The real and imaginary parts are each summed with math.fsum, so the
-        value depends only on the polynomial, not on its term order.
+        value depends only on the polynomial, not on its term order. Raises
+        ValueError when some theta*e is not finite or reaches 2^52 in
+        magnitude: doubles there are 1 rad or more apart, so no digit of the
+        value would mean anything.
         """
+        if not all(abs(theta * e) < 2.0**52 for e in self._terms):
+            raise ValueError(f"phase {theta!r} too large: |phase * exponent| >= 2^52")
         values = [c * cmath.exp(1j * theta * e) for e, c in self._terms.items()]
         return complex(
             math.fsum(v.real for v in values), math.fsum(v.imag for v in values)

@@ -584,10 +584,8 @@ def verify_relations(n: int) -> VerifyReport:
     comparing LaurentPoly coefficients with ==. Raises ValueError when n is
     outside 1..12.
     """
-    if n < 1:
-        raise ValueError("--n must be >= 1")
-    if n > 12:
-        raise ValueError("--n must be <= 12 for the diagram algebra suite")
+    if not 1 <= n <= 12:
+        raise ValueError("n must be in 1..12")
     dlt = delta()
     gens = [TLElement.generator(n, i) for i in range(1, n)]
     k = len(gens)

@@ -78,6 +78,17 @@ def test_bracket_oracle_and_both_agree():
     assert both == base
 
 
+def test_bracket_both_reports_a_disagreement(monkeypatch):
+    wrong = LaurentPoly({1: 7})
+    monkeypatch.setattr(cli_module, "bracket_state_sum", lambda word: wrong)
+    for extra in ([], ["--json"]):
+        tl_route = _run(["bracket", *TREFOIL, *extra])
+        assert tl_route[0] == 0
+        code, out, err = _run(["bracket", *TREFOIL, "--both", *extra])
+        assert (code, out) == (1, tl_route[1])
+        assert err == "cross-check FAILED: state sum disagrees with the algebra trace\n"
+
+
 def test_bracket_normalized_same_on_every_route():
     for word in (BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2)),
                  BraidWord(4, (1, 2, -3, 2, 2))):
@@ -170,6 +181,21 @@ def test_fib_matrix_braid_is_complex_diagonal():
     assert abs(top - a) < 1e-9
     assert abs(bottom - (-(a**-3))) < 1e-9
     assert rows[0][1] == rows[1][0] == "0+0j"
+
+
+def test_fib_matrix_braid_refuses_right_end():
+    for rule in ("uniform", "literal"):
+        argv = ["fib-matrix", "--n", "2", "--gen", "3", "--braid", "--right-end", rule]
+        code, out, err = _run(argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --right-end applies to U_i matrices, not to --braid\n"
+        )
+    # on U_i the option still selects the rule
+    argv = ["fib-matrix", "--n", "2", "--gen", "3", "--json"]
+    uniform = _run([*argv, "--right-end", "uniform"])
+    assert uniform == _run(argv)
+    assert _run([*argv, "--right-end", "literal"])[1] != uniform[1]
 
 
 def test_fib_matrix_json_payload():
@@ -300,8 +326,36 @@ def test_verify_tl_json_report():
         assert len(lines) == len(payload["checks"])
         for check, line in zip(payload["checks"], lines):
             assert line.startswith(check["name"] + " ")
-        # the exact suite takes no loop value: fib-only options are ignored
-        assert _run([*argv, "--delta", "0.5", "--json"]) == (code, out, err)
+        # the exact suite takes no loop value: a fib-only option is refused
+        code, out, err = _run([*argv, "--delta", "0.5", "--json"])
+        assert (code, out) == (2, "") and "--delta" in err
+
+
+@pytest.mark.parametrize(
+    "extra, flags",
+    [
+        (["--delta", "0.5"], "--delta"),
+        (["--delta-sign", "-"], "--delta-sign"),
+        (["--phase", "pi/0"], "--phase"),
+        (["--tol", "0"], "--tol"),
+        (["--right-end", "uniform"], "--right-end"),
+        (["--phase", "3pi/5", "--tol", "1e-3"], "--phase, --tol"),
+    ],
+)
+def test_verify_tl_refuses_fib_only_options(extra, flags):
+    for json_flag in ([], ["--json"]):
+        argv = ["verify", "--module", "tl", "--n", "4", *extra, *json_flag]
+        assert _run(argv) == (
+            2,
+            "",
+            f"error: --module tl takes only --n and --json, not {flags}\n",
+        )
+
+
+def test_verify_tl_range_message_names_no_flag():
+    for n in ("0", "13"):
+        code, out, err = _run(["verify", "--module", "tl", "--n", n])
+        assert (code, out, err) == (2, "", "error: n must be in 1..12\n")
 
 
 def test_verify_tl_reports_a_failing_row(monkeypatch):
@@ -410,6 +464,17 @@ def test_non_finite_parameters_exit_two():
         code, out, err = _run(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "finite" in err, argv
+
+
+def test_eval_refuses_a_phase_past_float_resolution():
+    for phase in ("1e308", "1e300", "1e17", "-1e17"):
+        for extra in ([], ["--json"], ["--normalized"]):
+            code, out, err = _run(["eval", *TREFOIL, f"--phase={phase}", *extra])
+            assert (code, out) == (2, ""), phase
+            assert err.startswith(f"error: phase {float(phase)!r} too large"), phase
+    # below 2^52 / 7 (7 is the trefoil bracket's largest exponent) it evaluates
+    code, _, err = _run(["eval", *TREFOIL, "--phase", str(2.0**52 / 8)])
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])

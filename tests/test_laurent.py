@@ -89,6 +89,22 @@ def test_evaluate_phase_known_points():
         assert LaurentPoly(terms).evaluate_phase(0.0) == 1
 
 
+def test_evaluate_phase_refuses_a_phase_past_float_resolution():
+    import math
+
+    # doubles of magnitude 2^52 and more are 1 rad or more apart
+    p = delta()  # exponents 2 and -2
+    limit = 2.0**52
+    assert abs(p.evaluate_phase(math.nextafter(limit / 2, 0.0))) <= 2.0
+    for theta in (limit / 2, -limit / 2, 1e17, 1e300, 1e308, math.inf, math.nan):
+        with pytest.raises(ValueError, match="too large"):
+            p.evaluate_phase(theta)
+    # a constant polynomial evaluates at any finite phase
+    for theta in (1e17, 1e308, -1e308):
+        assert LaurentPoly({0: 3}).evaluate_phase(theta) == 3
+        assert LaurentPoly.zero().evaluate_phase(theta) == 0
+
+
 def test_evaluate_phase_is_multiplicative():
     # relative tolerance: products of ~1e6-coefficient values carry ~1e-16
     # relative float error, so an absolute bound cannot hold at this scale
