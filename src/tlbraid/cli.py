@@ -103,8 +103,10 @@ def _given(args, *names) -> dict:
 
 
 def _params_from_args(args):
-    phase = parse_phase(args.phase) if args.phase else None
+    phase = parse_phase(args.phase) if args.phase is not None else None
     if args.delta is not None:
+        if args.delta_sign is not None:
+            raise ValueError("--delta-sign and --delta cannot be given together")
         return make_params(args.delta, phase)
     return fibonacci_params(-1 if args.delta_sign == "-" else 1, phase)
 
@@ -276,7 +278,7 @@ def _add_params_args(sub):
         "--delta",
         type=float,
         default=None,
-        help="explicit loop value, overriding --delta-sign",
+        help="explicit loop value",
     )
     sub.add_argument(
         "--phase",

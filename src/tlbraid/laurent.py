@@ -27,6 +27,13 @@ class LaurentPoly:
         self._terms = {int(e): int(c) for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
+    def _clean(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """A polynomial on `terms` as given: int keys and nonzero int values."""
+        self = object.__new__(cls)
+        self._terms = terms
+        return self
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
 
@@ -64,12 +71,12 @@ class LaurentPoly:
         acc = dict(self._terms)
         for e, c in other._terms.items():
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly(acc)
+        return LaurentPoly._clean({e: c for e, c in acc.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._clean({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -92,7 +99,7 @@ class LaurentPoly:
             for e2, c2 in other._terms.items():
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc)
+        return LaurentPoly._clean({e: c for e, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -123,7 +130,7 @@ class LaurentPoly:
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (negate every exponent)."""
-        return LaurentPoly({-e: c for e, c in self._terms.items()})
+        return LaurentPoly._clean({-e: c for e, c in self._terms.items()})
 
     def evaluate_phase(self, theta: float) -> complex:
         """Evaluate at A = e^(i*theta) on the unit circle.
@@ -192,7 +199,7 @@ def jones_substitute(f: LaurentPoly) -> LaurentPoly:
     The substitution A = t^(-1/4) sends c*A^e to c*q^(-e), so the result
     carries integer exponents of q; an exponent 4k in q is t^k.
     """
-    return LaurentPoly({-e: c for e, c in f.terms.items()})
+    return f.invert_variable()
 
 
 def format_jones(p: LaurentPoly) -> str:

@@ -14,17 +14,22 @@ substitution: the polynomial is evaluated at 2^B, one B-bit slot per
 exponent. A letter follows the twist rule: a diagram with a cap at i traps
 a loop under U_i, so the letter multiplies it in place by the monomial
 -A^(-+3), and only the other diagrams are split into two copies. The
-state's L1 norm therefore at most doubles per letter, and B = L + 2 bits
-for L letters hold every coefficient and every sum of them. Each weight is
-a left shift of 0, 1 or 2 slots, and the work runs in C on exact
-integers. rep_braid_word unpacks every diagram into a TLElement;
-trace_braid_word adds the packed ints per closure loop count and unpacks
-only those sums. A packed int holds (2L + 1) * B bits, so the state is
-capped both in diagrams (STATE_MAX_DIAGRAMS) and in bits (STATE_MAX_BITS),
-and a word whose worst-case work exceeds WORD_MAX_WORK is refused before
-its first letter. The general TLElement product and markov_trace serve the
-exact relation suite, verify_relations, which reports in the VerifyReport
-shape that fibrep's numeric suite shares.
+state's L1 norm therefore at most doubles per letter, to 2^L after L
+letters, and the Markov trace's loop powers delta^(l - 1), l <= n, add at
+most n - 1 bits, so B = L + n + 1 bits on n strands hold every coefficient
+of the state and of its trace. Each weight is a left shift of 0, 1 or 2
+slots, and the work runs in C on exact integers. A letter runs as a loop
+over a sparse state; once the state holds half of all Catalan(n) diagrams
+and the table knows them all, it is zero-filled and each letter runs as a
+few bulk C-level updates planned once per generator. rep_braid_word
+unpacks every diagram into a TLElement; trace_braid_word adds the packed
+ints per closure loop count, closes the sums by Horner's rule in delta in
+packed form and unpacks once. A packed int holds (2L + 1) * B bits, so the
+state is capped both in diagrams (STATE_MAX_DIAGRAMS) and in bits
+(STATE_MAX_BITS), and a word whose worst-case work exceeds WORD_MAX_WORK is
+refused before its first letter. The general TLElement product and
+markov_trace serve the exact relation suite, verify_relations, which
+reports in the VerifyReport shape that fibrep's numeric suite shares.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter, lshift, sub
 from typing import Callable
 
 from .braid import BraidWord
@@ -65,19 +72,20 @@ ENUMERATION_MAX_N = 12
 # on the largest size enumerate_pairings supports.
 STATE_MAX_DIAGRAMS = _catalan(ENUMERATION_MAX_N)
 # Bits of packed coefficients the state may hold: diagrams times the slot
-# bits of one packed polynomial, (2L + 1) * (L + 2) for L letters. The
-# state's measured peak memory is about 0.9x this count (7 strands, 400
-# random letters: 17.3 MB counted, 15.8 MB peak), so 2^30 bits bound it
-# near 128 MiB. The benchmark's widest words count about 1.1M bits.
+# bits of one packed polynomial, (2L + 1) * (L + n + 1) for L letters on n
+# strands. The state's measured peak memory is about 0.9x this count (7
+# strands, 400 random letters: 17.5 MB counted, 15.8 MB peak), so 2^30 bits
+# bound it near 128 MiB. The benchmark's widest words count about 1.2M bits.
 STATE_MAX_BITS = 1 << 30
 # A word's worst-case work: letters times the bits of one packed polynomial
 # times the most diagrams its state may hold (the dimension of the TL
 # subalgebra its generators span, capped as above).
 # Each letter shifts and adds every diagram's int once or twice, so run time
 # grows with this count. At 2^40 the slowest admitted words measured take
-# about a minute (2-vCPU VM, Python 3.11): 68 s for sigma_1^6500 on 2
-# strands and 63 s for (1 -2)^2394 on 3; random words at the budget took
-# 28-35 s on 5, 7 and 12 strands (the last with its state near the bit cap).
+# about a minute (2-vCPU VM, Python 3.11): 67-77 s for sigma_1^6500 on 2
+# strands and 64 s for (1 -2)^2394 on 3; random words at the budget took
+# 29-41 s on 5, 7 and 12 strands (the last on generators 1-6, with its state
+# near the bit cap).
 WORD_MAX_WORK = 1 << 40
 
 
@@ -357,12 +365,16 @@ class _DiagramTable:
     trace closure. Misses go through PlanarPairing.compose, whose products
     skip the public constructor's checks: a product of planar diagrams is
     planar, which tests/test_tl.py confirms for every entry up to 8 strands.
+    Once every diagram is interned, plan(i) gives U_i's action on a dense
+    state.
     """
 
     def __init__(self, n: int):
+        self.catalan = _catalan(n)
         self.diagrams: list[PlanarPairing] = []
         self.closure: list[int] = []
         self.act: list[list] = [[] for _ in range(n - 1)]
+        self._plans: list = [None] * (n - 1)
         self._ids: dict[tuple, int] = {}
         self._generators = [PlanarPairing.generator(n, i) for i in range(1, n)]
         self._lock = threading.Lock()
@@ -375,10 +387,12 @@ class _DiagramTable:
                 found = self._ids.get(diagram.partner)
                 if found is None:
                     found = len(self.diagrams)
-                    self.diagrams.append(diagram)
                     self.closure.append(diagram.closure_loops())
                     for row in self.act:
                         row.append(None)
+                    # last, so that a table whose diagrams number Catalan(n)
+                    # has every list filled
+                    self.diagrams.append(diagram)
                     self._ids[diagram.partner] = found
         return found
 
@@ -388,18 +402,80 @@ class _DiagramTable:
         entry = self.act[i - 1][d] = (self.intern(product), loops)
         return entry
 
+    def plan(self, i: int) -> "_LetterPlan":
+        """The cached _LetterPlan of U_i; the table must be complete."""
+        found = self._plans[i - 1]
+        if found is None:
+            found = self._plans[i - 1] = _LetterPlan(self, i)
+        return found
+
+
+class _LetterPlan:
+    """U_i's action on a state that holds every diagram, as bulk updates.
+
+    Every image d*U_i is capped for U_i (d*U_i*U_i = delta*d*U_i), so the
+    uncapped diagrams only send and the capped ones only receive. capped
+    lists the capped ids, those with the most uncapped sources first; the
+    j-th column gathers the j-th source of each of the first len(column)
+    of them, so a target of k sources costs k - 1 additions. zeros pads
+    the sums of the capped ids without a source.
+    """
+
+    def __init__(self, table: _DiagramTable, i: int):
+        act = table.act[i - 1]
+        sources: dict[int, list[int]] = {}
+        capped, uncapped = [], []
+        for d in range(table.catalan):
+            target, loops = act[d] or table.fill(i, d)
+            if loops:
+                capped.append(d)
+            else:
+                uncapped.append(d)
+                sources.setdefault(target, []).append(d)
+        capped.sort(key=lambda t: -len(sources.get(t, ())))
+        self.capped = capped
+        self.uncapped = uncapped
+        self.columns = [
+            [sources[t][j] for t in capped if len(sources.get(t, ())) > j]
+            for j in range(max(map(len, sources.values())))
+        ]
+        self.zeros = [0] * (len(capped) - len(self.columns[0]))
+
+    def apply(self, state: dict[int, int], width: int, positive: bool) -> None:
+        """One letter, in place, with the weights of _word_state."""
+        get = state.__getitem__
+        first, *rest = self.columns
+        moved = list(map(get, first))
+        for column in rest:
+            moved[: len(column)] = map(add, moved, map(get, column))
+        moved += self.zeros
+        moved = map(lshift, moved, repeat(width))
+        # each old value is read just before its key is written, so no
+        # letter holds two copies of the state
+        capped = map(get, self.capped)
+        if positive:  # (moved << B) - (x << 2B); uncapped x stay
+            kept = map(lshift, capped, repeat(2 * width))
+            state.update(zip(self.capped, map(sub, moved, kept)))
+        else:  # (moved << B) - x; uncapped x become x << 2B
+            state.update(zip(self.capped, map(sub, moved, capped)))
+            uncapped = map(get, self.uncapped)
+            values = map(lshift, uncapped, repeat(2 * width))
+            state.update(zip(self.uncapped, values))
+
 
 _TABLES: dict[int, _DiagramTable] = {}
 
 
-def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callable]:
+def _word_state(
+    word: BraidWord,
+) -> tuple[_DiagramTable, dict[int, int], tuple[int, int]]:
     """The image of a braid word as {diagram id: packed polynomial}.
 
     Right-multiplies the identity by A^s*identity + A^-s*U_i for each
     letter s*i. A diagram's coefficient, a Laurent polynomial in A, is
-    packed into one int (Kronecker substitution): slot k, `width` = L + 2
-    bits wide for L letters, holds the coefficient of A^(top - 2k), where
-    `top` is the exponent of slot 0.
+    packed into one int (Kronecker substitution): slot k, `width` B bits
+    wide, holds the coefficient of A^(top - 2k), where `top` is the
+    exponent of slot 0.
 
     The twist rule: a diagram d whose product with U_i traps a loop has
     d*U_i = delta*d with delta = -A^2 - A^-2, so the letter sends it to
@@ -409,26 +485,32 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
     weight is a left shift of 0, 1 or 2 slots: positive, a capped x becomes
     -(x << 2B) and an uncapped x stays; negative, a capped x becomes -x and
     an uncapped x becomes x << 2B; every uncapped x adds x << B at its
-    target. A letter moves a coefficient at most 2 slots, so the word needs
-    2L + 1 slots.
+    target. A letter moves a coefficient at most 2 slots, so the word's
+    state needs 2L + 1 slots for L letters.
 
-    Why B = L + 2 bits suffice: a capped diagram gets a monomial factor,
-    so its norm does not change, and an uncapped one is split into two
-    copies, so its norm at most doubles. The state's L1 norm therefore
-    stays at or below 2^L. Every coefficient, and every sum of them over a
-    closure loop count, lies in [-2^L, 2^L], inside a slot's
-    [-2^(B-1), 2^(B-1)), so every value unpacks exactly.
+    Why B = L + n + 1 bits for n strands: a capped diagram gets a monomial
+    factor, so its norm does not change, and an uncapped one is split into
+    two copies, so its norm at most doubles. The state's L1 norm therefore
+    stays at or below 2^L. trace_braid_word weights the state's sum over
+    diagrams with l closure loops by delta^(l - 1), whose L1 norm is
+    2^(l - 1) with l <= n, so every coefficient of the bracket lies in
+    [-2^(L + n - 1), 2^(L + n - 1)], inside a slot's [-2^(B-1), 2^(B-1)),
+    and unpacks exactly; so does every coefficient of the state itself.
 
-    Returns the table, the state and the function that unpacks a state
-    value -- or a sum of them -- into {exponent: coefficient}. Raises
-    ValueError before the first letter when the word's worst-case work
-    exceeds WORD_MAX_WORK, and once the state holds more than
-    STATE_MAX_DIAGRAMS diagrams or more than STATE_MAX_BITS bits of slots.
+    A letter runs as a loop over the state's diagrams while the state is
+    sparse. Once the table holds all Catalan(n) diagrams, the caps admit
+    that many and the state holds at least half of them, the state is
+    zero-filled to every diagram and each later letter runs as the bulk
+    updates of _LetterPlan.apply; such a state never outgrows the caps.
+
+    Returns the table, the state and (B, top). Raises ValueError before the
+    first letter when the word's worst-case work exceeds WORD_MAX_WORK,
+    and once the state holds more than STATE_MAX_DIAGRAMS diagrams or more
+    than STATE_MAX_BITS bits of slots.
     """
     n, letters = word.strands, word.letters
-    width = len(letters) + 2
-    slots = 2 * len(letters) + 1
-    bits = slots * width
+    width = len(letters) + n + 1
+    bits = (2 * len(letters) + 1) * width
     reachable = _span_dim({abs(ell) for ell in letters})
     max_diagrams = min(STATE_MAX_DIAGRAMS, STATE_MAX_BITS // bits, reachable)
     if max_diagrams < 1:
@@ -443,18 +525,31 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
     table = _TABLES.get(n)
     if table is None:
         table = _TABLES.setdefault(n, _DiagramTable(n))
+    catalan = table.catalan
+    may_densify = catalan <= max_diagrams
+    dense = False
     state = {table.identity: 1}
     double = 2 * width
     top = 0  # exponent of slot 0; slot k holds A^(top - 2k)
     for ell in letters:
         i = abs(ell)
+        top += 1 if ell > 0 else 3
+        if (
+            not dense
+            and may_densify
+            and 2 * len(state) >= catalan
+            and len(table.diagrams) == catalan
+        ):
+            state = {**dict.fromkeys(range(catalan), 0), **state}
+            dense = True
+        if dense:
+            table.plan(i).apply(state, width, ell > 0)
+            continue
         act = table.act[i - 1]
         moved: dict[int, int] = {}
         if ell > 0:
-            top += 1
             capped_shift, kept_shift = double, 0
         else:
-            top += 3
             capped_shift, kept_shift = 0, double
         for d, x in state.items():
             target, loops = act[d] or table.fill(i, d)
@@ -475,11 +570,19 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
                 state[target] = x
         if len(state) > max_diagrams:
             raise _cap_error(n, len(state), bits)
+    if dense:  # drop the zero fill
+        state = dict(filter(itemgetter(1), state.items()))
+    return table, state, (width, top)
 
+
+def _unpacker(width: int, slots: int, top: int) -> Callable[[int], dict[int, int]]:
+    """The function that unpacks a value of `slots` slots of `width` bits,
+    slot k holding the coefficient of A^(top - 2k), into {exponent: coefficient}."""
     # Adding `half` to every slot makes each one a plain base-2^width digit.
-    half = 1 << (width - 1)
-    bias = ((1 << bits) - 1) // ((1 << width) - 1) * half
+    bits = slots * width
     low = top - 2 * (slots - 1)  # exponent of the highest slot, read first
+    half = 1 << (width - 1)
+    bias = int(("1" + "0" * (width - 1)) * slots, 2)
 
     def unpack(packed: int) -> dict[int, int]:
         digits = format(packed + bias, "b").zfill(bits)
@@ -490,7 +593,7 @@ def _word_state(word: BraidWord) -> tuple[_DiagramTable, dict[int, int], Callabl
                 terms[low + 2 * j // width] = c
         return terms
 
-    return table, state, unpack
+    return unpack
 
 
 def _cap_error(n: int, diagrams: int, bits: int) -> ValueError:
@@ -515,7 +618,8 @@ def rep_braid_word(word: BraidWord) -> TLElement:
     Raises ValueError when the word exceeds WORD_MAX_WORK or the state
     outgrows its caps (see _word_state).
     """
-    table, state, unpack = _word_state(word)
+    table, state, (width, top) = _word_state(word)
+    unpack = _unpacker(width, 2 * len(word.letters) + 1, top)
     diagrams = table.diagrams
     return TLElement(
         word.strands, {diagrams[d]: LaurentPoly(unpack(x)) for d, x in state.items()}
@@ -525,20 +629,23 @@ def rep_braid_word(word: BraidWord) -> TLElement:
 def trace_braid_word(word: BraidWord) -> LaurentPoly:
     """markov_trace(rep_braid_word(word)), without building the TLElement.
 
-    Packed coefficients are summed per closure loop count first, so only
-    those sums are unpacked and delta powers are multiplied in once per
-    distinct count.
+    Packed coefficients are summed per closure loop count l, and the sums
+    S_l are closed by Horner's rule in packed form: delta = A^2 * -(1 + A^-4),
+    so one factor of delta is -(x + (x << 2B)) with slot 0 moved up by A^2,
+    and S_l enters shifted by n - l slots to meet it. The result, 2L + 2n - 1
+    slots for n strands and L letters, is unpacked once.
     """
-    table, state, unpack = _word_state(word)
+    table, state, (width, top) = _word_state(word)
+    n = word.strands
     closure = table.closure
-    by_loops: dict[int, int] = {}
+    by_loops = [0] * (n + 1)
     for d, x in state.items():
-        loops = closure[d]
-        by_loops[loops] = by_loops.get(loops, 0) + x
-    total = LaurentPoly.zero()
-    for loops, x in by_loops.items():
-        total = total + LaurentPoly(unpack(x)) * delta_power(loops - 1)
-    return total
+        by_loops[closure[d]] += x
+    total = 0
+    for shift in range(n):  # S_n first, S_1 last
+        total = (by_loops.pop() << shift * width) - (total + (total << 2 * width))
+    slots = 2 * len(word.letters) + 2 * n - 1
+    return LaurentPoly(_unpacker(width, slots, top + 2 * (n - 1))(total))
 
 
 def markov_trace(element: TLElement) -> LaurentPoly:

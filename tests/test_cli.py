@@ -358,6 +358,41 @@ def test_verify_tl_range_message_names_no_flag():
         assert (code, out, err) == (2, "", "error: n must be in 1..12\n")
 
 
+_PARAMS_COMMANDS = [
+    ["fib-verify", "--n", "3"],
+    ["fib-matrix", "--n", "1", "--gen", "1", "--braid"],
+    ["verify", "--module", "fib", "--n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARAMS_COMMANDS)
+def test_empty_phase_is_refused(argv):
+    for json_flag in ([], ["--json"]):
+        assert _run([*argv, "--phase", "", *json_flag]) == (
+            2,
+            "",
+            "error: bad phase '': use radians or a pi literal\n",
+        )
+    assert _run([*argv, "--phase", "3pi/5"])[0] == 0
+
+
+@pytest.mark.parametrize("argv", _PARAMS_COMMANDS)
+def test_delta_sign_with_delta_is_refused(argv):
+    for sign in ("+", "-"):
+        for order in (["--delta", "1.5", "--delta-sign", sign],
+                      ["--delta-sign", sign, "--delta", "1.5"]):
+            assert _run([*argv, *order]) == (
+                2,
+                "",
+                "error: --delta-sign and --delta cannot be given together\n",
+            )
+    # either one alone still runs: generic delta fails the relation suite
+    assert _run([*argv, "--delta", "1.5"])[0] == (0 if "fib-matrix" in argv else 1)
+    assert _run([*argv, "--delta-sign", "-"])[0] == 0
+    code, out, _ = _run([argv[0], "--help"])
+    assert code == 0 and "--delta-sign" in out and "overriding" not in out
+
+
 def test_verify_tl_reports_a_failing_row(monkeypatch):
     # a wrong loop value breaks only the row that multiplies by it
     monkeypatch.setattr(tl_module, "delta", lambda: LaurentPoly({2: -1}))

@@ -41,6 +41,22 @@ def test_addition_cancels():
     assert (p + q).is_zero()
 
 
+def test_results_keep_no_zero_coefficient():
+    # the results of +, -, * and the substitutions skip the public
+    # constructor's zero filter; cancelled terms must still drop out
+    p = LaurentPoly({1: 1, -1: 1})
+    q = LaurentPoly({1: 1, -1: -1})
+    assert (p * q).terms == {2: 1, -2: -1}
+    assert (p + q).terms == {1: 2}
+    assert (p - p).terms == {}
+    assert (p * 0).terms == {}
+    rng = random.Random(9)
+    for _ in range(200):
+        a, b = _random_poly(rng, coeff_range=2), _random_poly(rng, coeff_range=2)
+        for r in (a + b, a - b, a * b, -a, a.invert_variable(), jones_substitute(a)):
+            assert all(type(e) is int and type(c) is int and c for e, c in r.terms.items())
+
+
 def test_ring_axioms_random():
     rng = random.Random(1400)
     for _ in range(200):

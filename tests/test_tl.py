@@ -3,6 +3,8 @@
 import ast
 import math
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from tlbraid import (
     PlanarPairing,
     TLElement,
     VerifyReport,
+    bracket_state_sum,
     bracket_via_tl,
     delta,
     enumerate_pairings,
@@ -166,6 +169,9 @@ def test_trusted_products_are_planar():
                 target, loops = table.act[i - 1][d] or table.fill(i, d)
                 assert loops in (0, 1)
                 assert (loops == 1) == (target == d)  # the twist rule's premise
+                if not loops:  # a dense letter's premise: targets only receive
+                    target_entry = table.act[i - 1][target] or table.fill(i, target)
+                    assert target_entry == (target, 1)
                 if target not in reached:
                     reached.add(target)
                     frontier.append(target)
@@ -283,7 +289,7 @@ def _twist_rule_words():
 
 
 def test_twist_rule_states_stay_inside_the_norm_bound():
-    # The slot width L + 2 rests on the state's L1 norm staying <= 2^L.
+    # The slot width L + n + 1 rests on the state's L1 norm staying <= 2^L.
     widest = 0
     for word in _twist_rule_words():
         element = rep_braid_word(word)
@@ -465,6 +471,115 @@ def test_repeat_word_makes_no_compositions(monkeypatch):
     assert calls == []
 
 
+def _complete_table(n):
+    """The shared table for n strands, with every diagram interned."""
+    table = tl_module._TABLES.setdefault(n, tl_module._DiagramTable(n))
+    d = 0
+    while d < len(table.diagrams):
+        for i in range(1, n):
+            table.act[i - 1][d] or table.fill(i, d)
+        d += 1
+    assert len(table.diagrams) == table.catalan
+    return table
+
+
+@st.composite
+def _engine_words(draw):
+    n = draw(st.integers(2, 7))
+    letter = st.builds(lambda s, i: s * i, st.sampled_from((1, -1)), st.integers(1, n - 1))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=60))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_engine_words())
+def test_dense_letters_match_the_sparse_loop(word):
+    n = word.strands
+    with pytest.MonkeyPatch.context() as mp:
+        # a fresh table that never counts itself complete keeps every letter
+        # on the dict loop
+        sparse_table = tl_module._DiagramTable(n)
+        sparse_table.catalan += 1
+        mp.setattr(tl_module, "_TABLES", {n: sparse_table})
+        mp.setattr(tl_module._LetterPlan, "apply", None)
+        sparse = (bracket_via_tl(word), rep_braid_word(word))
+    _complete_table(n)
+    dense = (bracket_via_tl(word), rep_braid_word(word))
+    assert dense == sparse
+    if len(word.letters) <= 14:
+        assert sparse[0] == bracket_state_sum(word)
+
+
+def test_dense_letters_run_on_full_width_words(monkeypatch):
+    calls = []
+    apply = tl_module._LetterPlan.apply
+
+    def counting(self, state, width, positive):
+        calls.append(len(state))
+        return apply(self, state, width, positive)
+
+    monkeypatch.setattr(tl_module._LetterPlan, "apply", counting)
+    rng = random.Random(5)
+    for n in range(2, 8):
+        table = _complete_table(n)
+        word = _random_word(rng, n, 40)
+        calls.clear()
+        assert rep_braid_word(word) == _general_fold(word)
+        # once half full, the state holds every diagram to the last letter
+        assert calls and set(calls) == {table.catalan}, n
+    # a word that leaves a generator out never fills the whole table
+    calls.clear()
+    bracket_via_tl(BraidWord(6, (1, 2, 3, 4) * 10))
+    assert calls == []
+
+
+def test_threads_share_fresh_tables_and_plans(monkeypatch):
+    # threads fill the same new tables and build the same plans at once;
+    # each must still get the bracket a lone caller gets
+    rng = random.Random(8)
+    words = [_random_word(rng, n, 40) for n in (3, 4, 5, 6, 7) for _ in range(3)]
+    want = [bracket_via_tl(word) for word in words]
+    monkeypatch.setattr(tl_module, "_TABLES", {})
+    results, errors = {}, []
+    start = threading.Barrier(6)
+
+    def worker(k):
+        try:
+            start.wait(timeout=60)
+            order = list(range(len(words)))
+            random.Random(k).shuffle(order)
+            for j in order:
+                results[k, j] = bracket_via_tl(words[j])
+        except Exception as exc:  # reported below, with the thread's index
+            errors.append((k, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(results[k, j] == want[j] for k in range(6) for j in range(len(words)))
+
+
+def test_close_holds_the_extra_bits_of_the_loop_powers():
+    # delta^(l - 1) for l closure loops on n strands grows the bracket's
+    # coefficients by up to n - 1 bits past the state's 2^L: on 12 strands
+    # the empty word closes to delta^11, whose middle coefficient is
+    # C(11, 5) = 462, and sigma_1 to -A^3 * delta^10, whose is 252, both far
+    # past the 2^(L + 1) that a slot of L + 2 bits can hold
+    for letters in ((), (1,), (-1,), (1, 2, -1), (1, -1, 1), (2, 3, 4, 5) * 2):
+        word = BraidWord(12, letters)
+        assert bracket_via_tl(word) == bracket_state_sum(word), letters
+    assert bracket_via_tl(BraidWord(12, ())) == delta() ** 11
+    assert bracket_via_tl(BraidWord(12, (1,))) == LaurentPoly({3: -1}) * delta() ** 10
+
+
 def test_state_cap_raises(monkeypatch):
     monkeypatch.setattr(tl_module, "STATE_MAX_DIAGRAMS", 10)
     word = BraidWord(6, (1, 2, 3, 4, 5) * 2)
@@ -475,9 +590,9 @@ def test_state_cap_raises(monkeypatch):
     assert bracket_via_tl(BraidWord(6, (1, 3, 5))) == markov_trace(
         _general_fold(BraidWord(6, (1, 3, 5)))
     )
-    # the bit cap: diagrams times (2L + 1) * (L + 2) bits
+    # the bit cap: diagrams times (2L + 1) * (L + n + 1) bits
     monkeypatch.undo()
-    bits = (2 * 10 + 1) * (10 + 2)
+    bits = (2 * 10 + 1) * (10 + 6 + 1)
     _, state, _ = tl_module._word_state(word)
     cap = len(state) * bits
     monkeypatch.setattr(tl_module, "STATE_MAX_BITS", cap)
@@ -497,7 +612,7 @@ def test_state_cap_raises(monkeypatch):
 def test_word_budget_refuses_before_the_first_letter(monkeypatch):
     # work = letters * bits per diagram * the most diagrams the state may hold
     word = BraidWord(4, (1, -2, 3) * 4)
-    work = 12 * (2 * 12 + 1) * (12 + 2) * 14  # Catalan(4) = 14
+    work = 12 * (2 * 12 + 1) * (12 + 4 + 1) * 14  # Catalan(4) = 14
     monkeypatch.setattr(tl_module, "WORD_MAX_WORK", work)
     assert bracket_via_tl(word) == markov_trace(_general_fold(word))
     monkeypatch.setattr(tl_module, "WORD_MAX_WORK", work - 1)
