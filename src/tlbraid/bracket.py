@@ -45,10 +45,12 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
     common prefix of crossings. A block is held arc-major, one int8 label
     row per live arc and one column per state, and each crossing forms both
     of its smoothings in one (arcs, 2, states) array, so every numpy call
-    runs along the states. Every state keeps its own column to the end --
-    states are never merged by connectivity, which would turn the oracle
-    into the transfer matrix of the TL route. The result is summed by
-    Horner's rule in delta over the loop counts.
+    runs along the states. Each state also carries one int16 key that
+    encodes its A-exponent and its component count together, and the keys
+    of finished states are counted in one histogram. Every state keeps its
+    own column to the end -- states are never merged by connectivity, which
+    would turn the oracle into the transfer matrix of the TL route. The
+    histogram is summed by Horner's rule in delta over the loop counts.
     """
     n, letters = word.strands, word.letters
     num = len(letters)
@@ -79,17 +81,19 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
 
     import numpy as np
 
-    # labels[i, s] is the component label of live arc i in state s. Labels,
-    # component counts and A-exponents fit int8: there are at most
-    # 2 * STATE_SUM_MAX_LETTERS = 48 arcs, and |exponent| <= letters. An
-    # arc's row is dropped after the last crossing that touches it, since no
-    # later join reads its label.
+    # labels[i, s] is the component label of live arc i in state s; there
+    # are at most 2 * STATE_SUM_MAX_LETTERS = 48 arcs, so labels fit int8.
+    # Each state carries one int16 key, (exponent + num) * (arcs + 1) +
+    # components, at most 48 * 49 + 48 = 2400, for its A-exponent and its
+    # component count. An arc's row is dropped after the last crossing that
+    # touches it, since no later join reads its label.
     last = [0] * arcs
     for port, k in enumerate(arc):
         last[k] = port // 4
     live = list(range(arcs))
     steps = []
-    shift = np.array([[1], [-1]], dtype=np.int8)  # per smoothing, letter > 0
+    # per smoothing, letter > 0: the A-exponent moves by +-1
+    shift = np.array([[arcs + 1], [-(arcs + 1)]], dtype=np.int16)
     for c, ell in enumerate(letters):
         row = {k: i for i, k in enumerate(live)}
         nw, ne, sw, se = (row[k] for k in arc[4 * c : 4 * c + 4])
@@ -102,9 +106,9 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
 
     hist = np.zeros((2 * num + 1) * (arcs + 1), dtype=np.int64)
     labels = np.arange(arcs, dtype=np.int8)[:, None]
-    stack = [(0, labels, np.array([arcs], dtype=np.int8), np.zeros(1, dtype=np.int8))]
+    stack = [(0, labels, np.array([num * (arcs + 1) + arcs], dtype=np.int16))]
     while stack:
-        c, labels, comps, exps = stack.pop()
+        c, labels, keys = stack.pop()
         ports, shifts, kept = steps[c]
         # Joining arcs a and b relabels b's component with a's label; the
         # second join reads its two labels as the first join left them.
@@ -113,18 +117,16 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
         step = la - lb
         ends[:, 2:] += (ends[:, 2:] == lb[:, None]) * step[:, None]
         la2, lb2 = ends[:, 2], ends[:, 3]
-        comps = comps - (la != lb) - (la2 != lb2)
-        exps = exps + shifts
+        keys = keys + shifts - (la != lb) - (la2 != lb2)
         if c + 1 == num:
-            keys = (exps.astype(np.intp) + num) * (arcs + 1) + comps
             hist += np.bincount(keys.ravel(), minlength=hist.size)
             continue
         both = labels[kept][:, None, :]  # (live arcs, smoothings, states)
         both = both + (both == lb) * step
         both += (both == lb2) * (la2 - lb2)
-        halves = [(both[:, j], comps[j], exps[j]) for j in (0, 1)]
-        if 2 * comps.shape[1] <= _STATE_SUM_BLOCK_ROWS:
-            halves = [(both.reshape(len(kept), -1), comps.ravel(), exps.ravel())]
+        halves = [(both[:, j], keys[j]) for j in (0, 1)]
+        if 2 * keys.shape[1] <= _STATE_SUM_BLOCK_ROWS:
+            halves = [(both.reshape(len(kept), -1), keys.ravel())]
         stack.extend((c + 1, *half) for half in halves)
 
     # Horner in delta over the component counts, one polynomial per count

@@ -129,26 +129,26 @@ def _fib_states(n: int) -> np.ndarray:
     Numeric order is the basis order (P < *). Built by the recursion
     states(n) = states(n-1) ++ (1 << (n-1) | states(n-2)): a string is P
     followed by any string one letter shorter, or *P followed by any string
-    two letters shorter. The array is cached, so it is read-only.
+    two letters shorter, from states(0) = [0], the empty string, and
+    states(-1) = [0]. The array is cached, so it is read-only.
     """
-    prev, cur = np.zeros(1, dtype=np.int64), np.arange(2, dtype=np.int64)
-    for k in range(1, n):
+    prev = cur = np.zeros(1, dtype=np.int64)
+    for k in range(n):
         prev, cur = cur, np.concatenate((cur, (1 << k) | prev))
     cur.flags.writeable = False
     return cur
 
 
-def _generator_entries(
-    n: int, i: int, params: ModelParams, right_end: str = _UNIFORM
+@lru_cache(maxsize=None)
+def _generator_layout(
+    n: int, i: int, right_end: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of U_i on fib_sequences(n): the entries of
-    tl_generator_matrix, one per position, at most two per column."""
-    if right_end not in (_UNIFORM, _LITERAL):
-        raise ValueError(f"right_end must be {_UNIFORM!r} or {_LITERAL!r}")
-    if not 1 <= n <= MATRIX_MAX_N:
-        raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
-    if not 1 <= i <= n + 1:
-        raise ValueError(f"generator index {i} out of range 1..{n + 1}")
+    """(rows, cols, kind) of U_i on fib_sequences(n): the positions of its
+    entries and, per entry, which of (a, delta - a, delta, b) it holds.
+
+    Depends on no parameter, so it is cached per (n, i, right_end) and its
+    arrays are read-only.
+    """
     states = _fib_states(n)
     # the padded string "*P" + x + "P" as bits; U_i reads bits n+3-i..n+1-i
     window = (((2 << (n + 1)) | (states << 1)) >> (n + 1 - i)) & 7
@@ -158,18 +158,39 @@ def _generator_entries(
     empty = window == 0b000  # (P, P, P)
     loop = window == 0b101  # (*, P, *)
     # (*, P, P) and (P, P, *) windows contribute nothing
-    dlt, a, b = params.delta, params.a, params.b
-    dbb = dlt - a  # delta*b^2, via the exact identity delta*(1 - 1/delta^2)
     diag = np.flatnonzero(star | empty | loop)
     # star and empty windows never occur at i = 1, where the center is padding
     flip = np.flatnonzero(star | empty)
     partner = np.searchsorted(states, states[flip] ^ (1 << (n + 1 - i)))
     rows = np.concatenate((diag, partner))
     cols = np.concatenate((diag, flip))
-    vals = np.concatenate(
-        (np.select([star[diag], empty[diag]], [a, dbb], dlt), np.full(len(flip), b))
+    kind = np.concatenate(
+        (np.select([star[diag], empty[diag]], [0, 1], 2), np.full(len(flip), 3))
     )
-    return rows, cols, vals
+    for array in (rows, cols, kind):
+        array.flags.writeable = False
+    return rows, cols, kind
+
+
+def _generator_entries(
+    n: int, i: int, params: ModelParams, right_end: str = _UNIFORM
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of U_i on fib_sequences(n): the entries of
+    tl_generator_matrix, one per position, at most two per column.
+
+    rows and cols are the cached, read-only arrays of _generator_layout;
+    only vals is built per call, gathered from the four couplings.
+    """
+    if right_end not in (_UNIFORM, _LITERAL):
+        raise ValueError(f"right_end must be {_UNIFORM!r} or {_LITERAL!r}")
+    if not 1 <= n <= MATRIX_MAX_N:
+        raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
+    if not 1 <= i <= n + 1:
+        raise ValueError(f"generator index {i} out of range 1..{n + 1}")
+    rows, cols, kind = _generator_layout(n, i, right_end)
+    # delta - a is delta*b^2, via the exact identity delta*(1 - 1/delta^2)
+    couplings = np.array([params.a, params.delta - params.a, params.delta, params.b])
+    return rows, cols, couplings[kind]
 
 
 def tl_generator_matrix(
@@ -290,6 +311,13 @@ def three_strand_family(theta: float) -> ThreeStrandFamily:
     return ThreeStrandFamily(theta=theta, delta=dlt, u=u, f=f, v=v, r=r, s=s)
 
 
+# Residual slot arrays whose maxima verify_model takes in one numpy call:
+# 8 slots of dim + 1 complex values are 48 KB at n = 12. A residual of
+# products of U_i has at most 4 slots, so a batch holds at most 11, under
+# glibc's 128 KB mmap threshold: its buffers are reused, not faulted in.
+_FOLD_SLOTS = 8
+
+
 @lru_cache(maxsize=None)
 def _shift(n: int, mask: int) -> np.ndarray:
     """Gather index from each basis index r of fib_sequences(n) to the index
@@ -322,8 +350,10 @@ class _Sparse:
     product verify_model forms sums more than two nonzero terms, and a sum
     of two floats does not depend on their order. Entries of more terms,
     from matrices of other shapes, are summed in slot order and agree with
-    a dense product up to rounding. Slot arrays are never written after
-    the operation that made them returns.
+    a dense product up to rounding. The shift of mask 0 is the identity, so
+    a product and .T use the diagonal slot's array as it is, with no
+    gather. Slot arrays are never written after the operation that made
+    them returns.
     """
 
     __slots__ = ("n", "slots")
@@ -346,7 +376,8 @@ class _Sparse:
     @property
     def T(self) -> "_Sparse":
         return _Sparse(
-            self.n, {m: v[_shift(self.n, m)] for m, v in self.slots.items()}
+            self.n,
+            {m: v[_shift(self.n, m)] if m else v for m, v in self.slots.items()},
         )
 
     def conj(self) -> "_Sparse":
@@ -372,14 +403,10 @@ class _Sparse:
         for ma, va in self.slots.items():
             pick = _shift(self.n, ma)
             for mb, vb in other.slots.items():
-                term = va * vb[pick]
+                term = va * (vb[pick] if ma else vb)
                 m = ma ^ mb
                 slots[m] = slots[m] + term if m in slots else term
         return _Sparse(self.n, slots)
-
-    def max_abs(self) -> float:
-        # ndarray.max, unlike the builtin max, carries a NaN through
-        return float(np.abs(np.concatenate((*self.slots.values(), [0.0]))).max())
 
 
 def verify_model(
@@ -388,9 +415,10 @@ def verify_model(
     """Check every defining relation of the representation at one point.
 
     Builds the entries of U_1 .. U_{n+1} on the length-n space, once each,
-    with the integer-state window rule behind tl_generator_matrix, and
-    reports max-entry residuals for the Temperley-Lieb relations, symmetry,
-    unitarity and the braid relations. The braid generators
+    with the integer-state window rule behind tl_generator_matrix (the
+    positions come from the cached layout, so a call only gathers values),
+    and reports max-entry residuals for the Temperley-Lieb relations,
+    symmetry, unitarity and the braid relations. The braid generators
     rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed from the uniform-rule
     U_i, as in braid_generator_matrix; only under right_end="literal" are
     those built a second time. Each matrix is held in _Sparse mask slots
@@ -399,11 +427,13 @@ def verify_model(
     expression a dense check would use. No dense matrix is formed and
     nothing is sorted: every temporary holds dim + 1 values (6 KB at
     n = 12), small enough that the allocator reuses its memory instead of
-    returning pages to the OS and faulting them in again. A NaN residual
-    fails its row. All
-    residuals pass at delta = +-golden ratio with a compatible phase; a
-    generic delta fails the U_i U_(i+-1) U_i = U_i row, which is the point
-    of running it as a negative control.
+    returning pages to the OS and faulting them in again. A row's maximum
+    is taken over batches of _FOLD_SLOTS residual slot arrays, one abs and
+    one max per batch, each batch under the allocator's mmap threshold too.
+    A NaN residual fails its row. All residuals pass at delta = +-golden
+    ratio with a compatible phase; a generic delta fails the
+    U_i U_(i+-1) U_i = U_i row, which is the point of running it as a
+    negative control.
     Raises ValueError when n is outside 1..MATRIX_MAX_N or tol is
     negative or not finite.
     """
@@ -437,7 +467,15 @@ def verify_model(
     def add(name, residuals):
         # an overflow at a huge delta shows up in the row, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            worst = float(np.max([r.max_abs() for r in residuals], initial=0.0))
+            maxima, batch = [], []
+            for r in residuals:
+                batch += r.slots.values()
+                if len(batch) >= _FOLD_SLOTS:
+                    maxima.append(np.abs(np.concatenate(batch)).max())
+                    batch = []
+            maxima.append(np.abs(np.concatenate((*batch, [0.0]))).max())
+            # ndarray.max, unlike the builtin max, carries a NaN through
+            worst = float(np.max(maxima))
         checks.append(RelationCheck(name, worst, worst <= tol))
 
     add("U_i^2 = delta U_i", (u @ u - dlt * u for u in us))

@@ -271,3 +271,13 @@ def test_oracle_at_its_letter_cap_against_tl_route():
     w = BraidWord(5, tuple(rng.choice((1, -1)) * rng.randint(1, 4) for _ in range(24)))
     assert len(w.letters) == bracket_module.STATE_SUM_MAX_LETTERS
     assert bracket_state_sum(w) == bracket_via_tl(w)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_oracle_single_sign_words_at_the_cap(sign):
+    # every state of an all-positive or all-negative 24-letter word has 48
+    # arcs, and the all-A or all-A^-1 state reaches exponent +-24, so the
+    # oracle's per-state key reaches its largest value
+    rng = random.Random(48 + sign)
+    w = BraidWord(5, tuple(sign * rng.randint(1, 4) for _ in range(24)))
+    assert bracket_state_sum(w) == bracket_via_tl(w)

@@ -163,7 +163,9 @@ def _reference_generator_matrix(n, i, params, right_end="uniform"):
 
 def test_integer_states_decode_to_the_basis():
     # fib_sequences is built from these states, so check both against the
-    # definition: ints with no two adjacent set bits, in increasing order
+    # definition: ints with no two adjacent set bits, in increasing order;
+    # n = 0 has one state, the empty string
+    assert fibrep._fib_states(0).tolist() == [0]
     for n in range(1, 17):
         want = [s for s in range(1 << n) if not s & (s >> 1)]
         assert fibrep._fib_states(n).tolist() == want, n
@@ -171,6 +173,52 @@ def test_integer_states_decode_to_the_basis():
             format(s, f"0{n}b").replace("0", "P").replace("1", "*") for s in want
         )
         assert decoded == fib_sequences(n), n
+
+
+def test_generator_layout_is_cached_and_read_only():
+    # only the values depend on the loop value; the positions are shared
+    build = fibrep._generator_entries
+    for right_end in ("uniform", "literal"):
+        rows, cols, vals = build(7, 8, fibonacci_params(), right_end)
+        rows2, cols2, vals2 = build(7, 8, make_params(1.5), right_end)
+        assert rows2 is rows and cols2 is cols
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert vals2 is not vals and not np.array_equal(vals, vals2)
+
+
+def _dense_from_slots(sparse):
+    """The (dim + 1)-square matrix of a _Sparse, the pad row and column
+    last; asserts that every slot value with no column, the pad included,
+    is an exact +0.0."""
+    states = fibrep._fib_states(sparse.n)
+    dim = len(states)
+    dense = np.zeros((dim + 1, dim + 1), dtype=next(iter(sparse.slots.values())).dtype)
+    for mask, values in sparse.slots.items():
+        pick = fibrep._shift(sparse.n, mask)
+        absent = pick == dim
+        zeros = np.zeros(absent.sum(), values.dtype)
+        assert values[absent].tobytes() == zeros.tobytes()
+        dense[np.flatnonzero(~absent), pick[~absent]] = values[~absent]
+    return dense
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_from_entries_sums_repeats_like_a_dense_scatter(dtype):
+    # three entries at one position sum to 1.0 in input order and to 0.0 in
+    # any other, so the order of the sum shows in the bits; -0.0 alone at
+    # a position reads +0.0 after a sum into zeros
+    n = 5
+    states = fibrep._fib_states(n)
+    rows = np.array([0, 0, 0, 3, 3, 7, 2, 4])
+    cols = np.array([1, 1, 1, 3, 3, 7, 5, 4])
+    vals = np.array([1e16, -1e16, 1.0, 0.5, 0.25, -0.0, 2.0, math.nan], dtype=dtype)
+    if dtype is np.complex128:
+        vals = vals * (1 - 2j)
+    got = fibrep._Sparse.from_entries(n, rows, cols, vals)
+    assert sorted(got.slots) == sorted(set((states[rows] ^ states[cols]).tolist()))
+    want = np.zeros((len(states) + 1,) * 2, dtype=dtype)
+    np.add.at(want, (rows, cols), vals)
+    assert _dense_from_slots(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("delta", [PHI, -PHI, 1.5, 2.0, -1.3])
