@@ -29,8 +29,8 @@ MATRIX_MAX_N = 12  # dense matrices up to dimension f_13 = 377
 
 def fib_dim(n: int) -> int:
     """Dimension f_{n+1} of the length-n sequence space (f_0 = f_1 = 1)."""
-    if n < 1:
-        raise ValueError("sequence length must be >= 1")
+    if n < 0:
+        raise ValueError("sequence length must be >= 0")
     prev, cur = 1, 1
     for _ in range(n):
         prev, cur = cur, prev + cur
@@ -44,13 +44,17 @@ _LETTERS = str.maketrans("01", "P*")
 def fib_sequences(n: int) -> tuple[str, ...]:
     """All length-n strings over {P, *} with no two adjacent stars.
 
-    Lexicographic with P < *, so e.g. n=2 lists PP, P*, *P. The count is
-    always fib_dim(n). Supports 1 <= n <= 25.
+    Lexicographic with P < *, so e.g. n=2 lists PP, P*, *P, and n=0 lists
+    the empty string. The count is always fib_dim(n). Supports
+    0 <= n <= 25.
     """
-    if not 1 <= n <= SEQUENCE_MAX_N:
-        raise ValueError(f"sequence enumeration supports 1 <= n <= {SEQUENCE_MAX_N}")
-    spec = f"0{n}b"
-    return tuple([format(s, spec).translate(_LETTERS) for s in _fib_states(n).tolist()])
+    if not 0 <= n <= SEQUENCE_MAX_N:
+        raise ValueError(f"sequence enumeration supports 0 <= n <= {SEQUENCE_MAX_N}")
+    # a leading 1 bit fixes the width at n + 1 digits, even at n = 0
+    top = 1 << n
+    return tuple(
+        [format(s | top, "b")[1:].translate(_LETTERS) for s in _fib_states(n).tolist()]
+    )
 
 
 @dataclass(frozen=True)
@@ -140,12 +144,33 @@ def _fib_states(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _shift(n: int, mask: int) -> np.ndarray:
+    """Gather index from each basis index r of fib_sequences(n) to the index
+    of the state _fib_states(n)[r] ^ mask, with one pad index dim appended.
+
+    Rows whose partner is not a state, and the pad itself, go to the pad.
+    The array is cached per mask, so it is read-only.
+    """
+    states = _fib_states(n)
+    dim = len(states)
+    index = np.full(1 << n, dim)
+    index[states] = np.arange(dim)
+    pick = np.append(index[states ^ mask], dim)
+    pick.flags.writeable = False
+    return pick
+
+
+@lru_cache(maxsize=None)
 def _generator_layout(
     n: int, i: int, right_end: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, kind) of U_i on fib_sequences(n): the positions of its
-    entries and, per entry, which of (a, delta - a, delta, b) it holds.
+) -> tuple[tuple[int, np.ndarray], ...]:
+    """U_i on fib_sequences(n) as mask slots ((mask, kind), ...): the
+    diagonal (mask 0) first, then the flip of the center bit, which U_1
+    lacks.
 
+    As in _Sparse, row r of slot mask is the entry in the column whose
+    state is _fib_states(n)[r] ^ mask; kind[r] says which of
+    (a, delta - a, delta, b, 0) it holds, and the pad row, last, holds 0.
     Depends on no parameter, so it is cached per (n, i, right_end) and its
     arrays are read-only.
     """
@@ -158,28 +183,27 @@ def _generator_layout(
     empty = window == 0b000  # (P, P, P)
     loop = window == 0b101  # (*, P, *)
     # (*, P, P) and (P, P, *) windows contribute nothing
-    diag = np.flatnonzero(star | empty | loop)
-    # star and empty windows never occur at i = 1, where the center is padding
-    flip = np.flatnonzero(star | empty)
-    partner = np.searchsorted(states, states[flip] ^ (1 << (n + 1 - i)))
-    rows = np.concatenate((diag, partner))
-    cols = np.concatenate((diag, flip))
-    kind = np.concatenate(
-        (np.select([star[diag], empty[diag]], [0, 1], 2), np.full(len(flip), 3))
-    )
-    for array in (rows, cols, kind):
-        array.flags.writeable = False
-    return rows, cols, kind
+    layout = [(0, np.append(np.select([star, empty, loop], [0, 1, 2], 4), 4))]
+    # star and empty windows never occur at i = 1, where the center is
+    # padding and 1 << n is no state bit, so U_1 has no flip slot
+    if i > 1:
+        flip = 1 << (n + 1 - i)
+        # row r holds b when its partner column sends b
+        sends_b = np.append(star | empty, False)
+        layout.append((flip, np.where(sends_b[_shift(n, flip)], 3, 4)))
+    for _, kind in layout:
+        kind.flags.writeable = False
+    return tuple(layout)
 
 
-def _generator_entries(
+def _generator_slots(
     n: int, i: int, params: ModelParams, right_end: str = _UNIFORM
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, vals) of U_i on fib_sequences(n): the entries of
-    tl_generator_matrix, one per position, at most two per column.
+) -> dict[int, np.ndarray]:
+    """U_i on fib_sequences(n) as _Sparse mask slots {mask: values}.
 
-    rows and cols are the cached, read-only arrays of _generator_layout;
-    only vals is built per call, gathered from the four couplings.
+    The masks and kinds are the cached, read-only layout of
+    _generator_layout; only the values are built per call, gathered from
+    the four couplings and a 0.
     """
     if right_end not in (_UNIFORM, _LITERAL):
         raise ValueError(f"right_end must be {_UNIFORM!r} or {_LITERAL!r}")
@@ -187,10 +211,12 @@ def _generator_entries(
         raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if not 1 <= i <= n + 1:
         raise ValueError(f"generator index {i} out of range 1..{n + 1}")
-    rows, cols, kind = _generator_layout(n, i, right_end)
     # delta - a is delta*b^2, via the exact identity delta*(1 - 1/delta^2)
-    couplings = np.array([params.a, params.delta - params.a, params.delta, params.b])
-    return rows, cols, couplings[kind]
+    couplings = np.array(
+        [params.a, params.delta - params.a, params.delta, params.b, 0.0]
+    )
+    layout = _generator_layout(n, i, right_end)
+    return {mask: couplings[kind] for mask, kind in layout}
 
 
 def tl_generator_matrix(
@@ -211,13 +237,17 @@ def tl_generator_matrix(
     right_end="literal" instead kills the (P, *, P) window at the last
     position; that variant breaks U^2 = delta*U and is kept purely as a
     diagnostic. States are held as integer bitmasks (letter k at bit n-1-k,
-    * = 1), so the window is read with shifts and the rewritten state is
-    found by XOR of the center bit and a binary search in the sorted states.
+    * = 1), so the window is read with shifts, and the matrix is the mask
+    slots of _generator_slots scattered into a dense array.
     """
-    rows, cols, vals = _generator_entries(n, i, params, right_end)
+    # the slots check n first, so n <= 0 is refused with the matrix bound
+    slots = _generator_slots(n, i, params, right_end)
     dim = fib_dim(n)
     mat = np.zeros((dim, dim))
-    mat[rows, cols] = vals
+    for mask, values in slots.items():
+        cols = _shift(n, mask)[:dim]
+        rows = np.flatnonzero(cols < dim)
+        mat[rows, cols[rows]] = values[rows]
     return mat
 
 
@@ -318,35 +348,18 @@ def three_strand_family(theta: float) -> ThreeStrandFamily:
 _FOLD_SLOTS = 8
 
 
-@lru_cache(maxsize=None)
-def _shift(n: int, mask: int) -> np.ndarray:
-    """Gather index from each basis index r of fib_sequences(n) to the index
-    of the state _fib_states(n)[r] ^ mask, with one pad index dim appended.
-
-    Rows whose partner is not a state, and the pad itself, go to the pad.
-    The array is cached per mask, so it is read-only.
-    """
-    states = _fib_states(n)
-    dim = len(states)
-    index = np.full(1 << n, dim)
-    index[states] = np.arange(dim)
-    pick = np.append(index[states ^ mask], dim)
-    pick.flags.writeable = False
-    return pick
-
-
 class _Sparse:
     """A square matrix on fib_sequences(n) as slots {mask: values}.
 
     values[r] is the entry in row r and in the column whose state is
     _fib_states(n)[r] ^ mask; each values array has dim + 1 entries and
     ends in a 0 pad, and every position without an entry holds an exact 0.
-    The masks come from the entries, so no structure of U_i is assumed.
-    A product adds va * vb[_shift(n, ma)] into the slot ma ^ mb, the left
-    operand first (numpy's complex multiply is not bitwise commutative), so
-    each output entry sums the products a dense matmul sums, plus exact
-    zeros. No sort is needed to fix the order of those sums: U_i has two
-    slots (the diagonal and the flip of its center bit), so no entry of a
+    The operations assume nothing of their operands' masks. A product adds
+    va * vb[_shift(n, ma)] into the slot ma ^ mb, the left operand first
+    (numpy's complex multiply is not bitwise commutative), so each output
+    entry sums the products a dense matmul sums, plus exact zeros. No sort
+    is needed to fix the order of those sums: U_i has at most two slots
+    (the diagonal and the flip of its center bit), so no entry of a
     product verify_model forms sums more than two nonzero terms, and a sum
     of two floats does not depend on their order. Entries of more terms,
     from matrices of other shapes, are summed in slot order and agree with
@@ -360,18 +373,6 @@ class _Sparse:
 
     def __init__(self, n: int, slots: dict):
         self.n, self.slots = n, slots
-
-    @classmethod
-    def from_entries(cls, n: int, rows, cols, vals) -> "_Sparse":
-        """The matrix with vals at (rows, cols), duplicate positions summed."""
-        states = _fib_states(n)
-        masks = states[rows] ^ states[cols]
-        slots = {}
-        for mask in sorted(set(masks.tolist())):
-            pick = masks == mask
-            slots[mask] = np.zeros(len(states) + 1, dtype=vals.dtype)
-            np.add.at(slots[mask], rows[pick], vals[pick])
-        return cls(n, slots)
 
     @property
     def T(self) -> "_Sparse":
@@ -414,22 +415,23 @@ def verify_model(
 ) -> VerifyReport:
     """Check every defining relation of the representation at one point.
 
-    Builds the entries of U_1 .. U_{n+1} on the length-n space, once each,
-    with the integer-state window rule behind tl_generator_matrix (the
-    positions come from the cached layout, so a call only gathers values),
-    and reports max-entry residuals for the Temperley-Lieb relations,
-    symmetry, unitarity and the braid relations. The braid generators
-    rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed from the uniform-rule
-    U_i, as in braid_generator_matrix; only under right_end="literal" are
-    those built a second time. Each matrix is held in _Sparse mask slots
-    (U_i has two: the diagonal and the flip of its center bit), and every
-    relation is evaluated operand pair by operand pair as the same matrix
-    expression a dense check would use. No dense matrix is formed and
-    nothing is sorted: every temporary holds dim + 1 values (6 KB at
-    n = 12), small enough that the allocator reuses its memory instead of
-    returning pages to the OS and faulting them in again. A row's maximum
-    is taken over batches of _FOLD_SLOTS residual slot arrays, one abs and
-    one max per batch, each batch under the allocator's mmap threshold too.
+    Builds the mask slots of U_1 .. U_{n+1} on the length-n space, once
+    each, with _generator_slots, the one form of the window rule, which
+    tl_generator_matrix scatters too (the slots' layout is cached, so a
+    call only gathers values), and reports max-entry residuals for the
+    Temperley-Lieb relations, symmetry, unitarity and the braid relations.
+    The braid generators rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed
+    from the uniform-rule U_i, as in braid_generator_matrix; only under
+    right_end="literal" are those built a second time. Each matrix is held
+    in _Sparse mask slots (U_i has at most two: the diagonal and the flip
+    of its center bit), and every relation is evaluated operand pair by
+    operand pair as the same matrix expression a dense check would use.
+    No dense matrix is formed and nothing is sorted: every temporary holds
+    dim + 1 values (6 KB at n = 12), small enough that the allocator
+    reuses its memory instead of returning pages to the OS and faulting
+    them in again. A row's maximum is taken over batches of _FOLD_SLOTS
+    residual slot arrays, one abs and one max per batch, each batch under
+    the allocator's mmap threshold too.
     A NaN residual fails its row. All residuals pass at delta = +-golden
     ratio with a compatible phase; a generic delta fails the
     U_i U_(i+-1) U_i = U_i row, which is the point of running it as a
@@ -443,16 +445,11 @@ def verify_model(
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     dim = fib_dim(n)
     gens = range(1, n + 2)
-    us = [
-        _Sparse.from_entries(n, *_generator_entries(n, i, params, right_end))
-        for i in gens
-    ]
+    us = [_Sparse(n, _generator_slots(n, i, params, right_end)) for i in gens]
     if right_end == _UNIFORM:
         rho_us = us
     else:
-        rho_us = [
-            _Sparse.from_entries(n, *_generator_entries(n, i, params)) for i in gens
-        ]
+        rho_us = [_Sparse(n, _generator_slots(n, i, params)) for i in gens]
     eye = _Sparse(n, {0: np.append(np.ones(dim, dtype=complex), 0.0)})
     phase = cmath.exp(1j * params.a_phase)
     rhos = [phase * eye + phase.conjugate() * u for u in rho_us]

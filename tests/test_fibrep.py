@@ -42,8 +42,10 @@ def test_dimension_recurrence_and_enumeration_agree():
         assert fib_dim(n) == dim
     for n in range(1, 16):
         assert fib_dim(n) == len(fib_sequences(n))
+    # n = 0 is the one empty string: f_1 = 1
+    assert fib_dim(0) == 1
     with pytest.raises(ValueError):
-        fib_dim(0)
+        fib_dim(-1)
 
 
 def test_sequence_enumeration_order_and_content():
@@ -57,10 +59,10 @@ def test_sequence_enumeration_order_and_content():
     key = [s.replace("P", "0").replace("*", "1") for s in basis]
     assert key == sorted(key)
     assert basis.index("PPPPPPPP") == 0
-    with pytest.raises(ValueError):
-        fib_sequences(0)
-    with pytest.raises(ValueError):
-        fib_sequences(26)
+    assert fib_sequences(0) == ("",)
+    for bad in (-1, 26):
+        with pytest.raises(ValueError):
+            fib_sequences(bad)
 
 
 def test_params_invariants():
@@ -176,14 +178,18 @@ def test_integer_states_decode_to_the_basis():
 
 
 def test_generator_layout_is_cached_and_read_only():
-    # only the values depend on the loop value; the positions are shared
-    build = fibrep._generator_entries
+    # only the values depend on the loop value; the layout is shared
+    build = fibrep._generator_slots
     for right_end in ("uniform", "literal"):
-        rows, cols, vals = build(7, 8, fibonacci_params(), right_end)
-        rows2, cols2, vals2 = build(7, 8, make_params(1.5), right_end)
-        assert rows2 is rows and cols2 is cols
-        assert not rows.flags.writeable and not cols.flags.writeable
-        assert vals2 is not vals and not np.array_equal(vals, vals2)
+        slots = build(7, 8, fibonacci_params(), right_end)
+        slots2 = build(7, 8, make_params(1.5), right_end)
+        layout = fibrep._generator_layout(7, 8, right_end)
+        assert fibrep._generator_layout(7, 8, right_end) is layout
+        assert list(slots) == list(slots2) == [mask for mask, _ in layout]
+        for mask, kind in layout:
+            vals, vals2 = slots[mask], slots2[mask]
+            assert not kind.flags.writeable
+            assert vals2 is not vals and not np.array_equal(vals, vals2), mask
 
 
 def _dense_from_slots(sparse):
@@ -202,23 +208,20 @@ def _dense_from_slots(sparse):
     return dense
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_from_entries_sums_repeats_like_a_dense_scatter(dtype):
-    # three entries at one position sum to 1.0 in input order and to 0.0 in
-    # any other, so the order of the sum shows in the bits; -0.0 alone at
-    # a position reads +0.0 after a sum into zeros
-    n = 5
-    states = fibrep._fib_states(n)
-    rows = np.array([0, 0, 0, 3, 3, 7, 2, 4])
-    cols = np.array([1, 1, 1, 3, 3, 7, 5, 4])
-    vals = np.array([1e16, -1e16, 1.0, 0.5, 0.25, -0.0, 2.0, math.nan], dtype=dtype)
-    if dtype is np.complex128:
-        vals = vals * (1 - 2j)
-    got = fibrep._Sparse.from_entries(n, rows, cols, vals)
-    assert sorted(got.slots) == sorted(set((states[rows] ^ states[cols]).tolist()))
-    want = np.zeros((len(states) + 1,) * 2, dtype=dtype)
-    np.add.at(want, (rows, cols), vals)
-    assert _dense_from_slots(got).tobytes() == want.tobytes()
+@pytest.mark.parametrize("delta", [PHI, -PHI, 1.5])
+def test_generator_slots_are_the_dense_matrix(delta):
+    # the diagonal slot first, then the center-bit flip, which U_1 lacks;
+    # every value with no column, the pad included, is an exact +0.0
+    params = make_params(delta)
+    for n in range(1, MATRIX_MAX_N + 1):
+        dim = fib_dim(n)
+        for i in range(1, n + 2):
+            for right_end in ("uniform", "literal"):
+                slots = fibrep._generator_slots(n, i, params, right_end)
+                assert list(slots) == ([0] if i == 1 else [0, 1 << (n + 1 - i)])
+                dense = _dense_from_slots(fibrep._Sparse(n, slots))
+                want = tl_generator_matrix(n, i, params, right_end)
+                assert dense[:dim, :dim].tobytes() == want.tobytes(), (n, i)
 
 
 @pytest.mark.parametrize("delta", [PHI, -PHI, 1.5, 2.0, -1.3])
@@ -234,6 +237,10 @@ def test_generator_matches_string_reference(delta):
 
 def test_generator_bounds():
     p = fibonacci_params()
+    # n is checked before the dimension is taken, so n <= 0 names the bound
+    for n in (-1, 0, MATRIX_MAX_N + 1):
+        with pytest.raises(ValueError, match=f"1 <= n <= {MATRIX_MAX_N}"):
+            tl_generator_matrix(n, 1, p)
     with pytest.raises(ValueError):
         tl_generator_matrix(1, 0, p)
     with pytest.raises(ValueError):
@@ -452,16 +459,16 @@ def test_stacked_report_equals_per_pair_reference(point):
 def _perturb_entries(monkeypatch, target, error):
     """Patch the generator builder so U_target gets one off-diagonal entry
     moved by error, as seen by verify_model and tl_generator_matrix alike."""
-    build = fibrep._generator_entries
+    build = fibrep._generator_slots
 
     def perturbed(n, i, params, right_end="uniform"):
-        rows, cols, vals = build(n, i, params, right_end)
+        slots = build(n, i, params, right_end)
         if i == target:
-            vals = vals.copy()
-            vals[np.flatnonzero(rows != cols)[0]] += error
-        return rows, cols, vals
+            values = slots[max(slots)]  # the flip slot, built for this call
+            values[np.flatnonzero(values)[0]] += error
+        return slots
 
-    monkeypatch.setattr(fibrep, "_generator_entries", perturbed)
+    monkeypatch.setattr(fibrep, "_generator_slots", perturbed)
 
 
 def test_perturbed_last_generator_fails_in_the_last_stack(monkeypatch):
@@ -529,24 +536,24 @@ def test_entry_off_the_generator_masks_matches_dense_reference(monkeypatch, delt
     """Move one off-diagonal entry of U_3 to a column whose state differs
     from its row's in two or more bits: a third mask, so a slot of a
     product sums three or more mask pairs."""
-    build = fibrep._generator_entries
+    build = fibrep._generator_slots
 
     def moved(n, i, params, right_end="uniform"):
-        rows, cols, vals = build(n, i, params, right_end)
+        slots = build(n, i, params, right_end)
         if i == 3:
             states = fibrep._fib_states(n)
-            k = np.flatnonzero(rows != cols)[0]
-            taken = set(cols[rows == rows[k]].tolist())
-            cols = cols.copy()
-            cols[k] = next(
-                c
-                for c in range(len(states))
-                if bin(int(states[rows[k]] ^ states[c])).count("1") >= 2
-                and c not in taken
+            flip = max(slots)
+            row = np.flatnonzero(slots[flip])[0]
+            mask = next(
+                m for m in (int(states[row] ^ s) for s in states)
+                if bin(m).count("1") >= 2
             )
-        return rows, cols, vals
+            values = slots[flip]
+            slots[mask] = np.zeros_like(values)
+            slots[mask][row], values[row] = values[row], 0.0
+        return slots
 
-    monkeypatch.setattr(fibrep, "_generator_entries", moved)
+    monkeypatch.setattr(fibrep, "_generator_slots", moved)
     params = make_params(delta)
     for n in (3, 4, 7):
         report = verify_model(n, params)
@@ -561,13 +568,13 @@ def test_entry_off_the_generator_masks_matches_dense_reference(monkeypatch, delt
 
 def test_verify_model_builds_each_generator_once(monkeypatch):
     calls = []
-    build = fibrep._generator_entries
+    build = fibrep._generator_slots
 
     def counted(*args, **kwargs):
         calls.append(args[1])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(fibrep, "_generator_entries", counted)
+    monkeypatch.setattr(fibrep, "_generator_slots", counted)
     for n in (1, 4, 9):
         calls.clear()
         assert verify_model(n, fibonacci_params()).passed
