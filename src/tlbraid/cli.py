@@ -185,14 +185,12 @@ def cmd_dims(args) -> int:
 
 
 def cmd_fib_matrix(args) -> int:
-    if args.braid and args.right_end is not None:
-        raise ValueError("--right-end applies to U_i matrices, not to --braid")
     params = _params_from_args(args)
     if args.braid:
         mat = braid_generator_matrix(args.n, args.gen, params)
         complex_entries = True
     else:
-        mat = tl_generator_matrix(args.n, args.gen, params, **_given(args, "right_end"))
+        mat = tl_generator_matrix(args.n, args.gen, params)
         complex_entries = False
     if args.json:
         payload = {
@@ -247,14 +245,14 @@ def _print_report(report, as_json: bool) -> int:
 
 def cmd_verify(args) -> int:
     if args.module == "tl":
-        fib_only = _given(args, "delta", "delta_sign", "phase", "tol", "right_end")
+        fib_only = _given(args, "delta", "delta_sign", "phase", "tol")
         if fib_only:
             flags = ", ".join("--" + name.replace("_", "-") for name in fib_only)
             raise ValueError(f"--module tl takes only --n and --json, not {flags}")
         report = verify_relations(args.n)
     else:
         params = _params_from_args(args)
-        report = verify_model(args.n, params, **_given(args, "tol", "right_end"))
+        report = verify_model(args.n, params, **_given(args, "tol"))
     return _print_report(report, args.json)
 
 
@@ -286,11 +284,14 @@ def _add_params_args(sub):
         default=None,
         help="bracket phase in radians or a pi literal like 3pi/5",
     )
-    sub.add_argument(
-        "--right-end",
-        choices=["uniform", "literal"],
-        help="window rule at the last position (literal is diagnostic only)",
-    )
+
+
+def _add_suite_args(sub):
+    """The options of the relation suites, fib-verify and verify."""
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--tol", type=float)
+    _add_params_args(sub)
+    sub.add_argument("--json", action="store_true")
 
 
 @functools.cache
@@ -349,18 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fib_matrix)
 
     p = commands.add_parser("fib-verify", help="relation suite on the sequence space")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float)
-    _add_params_args(p)
-    p.add_argument("--json", action="store_true")
+    _add_suite_args(p)
     p.set_defaults(func=cmd_verify, module="fib")
 
     p = commands.add_parser("verify", help="relation suite (exact tl or numeric fib)")
     p.add_argument("--module", choices=["tl", "fib"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol", type=float)
-    _add_params_args(p)
-    p.add_argument("--json", action="store_true")
+    _add_suite_args(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -121,10 +121,6 @@ def fibonacci_params(sign: int = 1, a_phase: float | None = None) -> ModelParams
     return make_params(sign * GOLDEN_RATIO, a_phase)
 
 
-_UNIFORM = "uniform"
-_LITERAL = "literal"
-
-
 @lru_cache(maxsize=None)
 def _fib_states(n: int) -> np.ndarray:
     """The basis of fib_sequences(n) as ints, letter k at bit n-1-k with
@@ -161,9 +157,7 @@ def _shift(n: int, mask: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _generator_layout(
-    n: int, i: int, right_end: str
-) -> tuple[tuple[int, np.ndarray], ...]:
+def _generator_layout(n: int, i: int) -> tuple[tuple[int, np.ndarray], ...]:
     """U_i on fib_sequences(n) as mask slots ((mask, kind), ...): the
     diagonal (mask 0) first, then the flip of the center bit, which U_1
     lacks.
@@ -171,15 +165,13 @@ def _generator_layout(
     As in _Sparse, row r of slot mask is the entry in the column whose
     state is _fib_states(n)[r] ^ mask; kind[r] says which of
     (a, delta - a, delta, b, 0) it holds, and the pad row, last, holds 0.
-    Depends on no parameter, so it is cached per (n, i, right_end) and its
-    arrays are read-only.
+    Depends on no parameter, so it is cached per (n, i) and its arrays are
+    read-only.
     """
     states = _fib_states(n)
     # the padded string "*P" + x + "P" as bits; U_i reads bits n+3-i..n+1-i
     window = (((2 << (n + 1)) | (states << 1)) >> (n + 1 - i)) & 7
     star = window == 0b010  # (P, *, P): the neighbors of a star are P
-    if right_end == _LITERAL and i == n + 1:
-        star[:] = False
     empty = window == 0b000  # (P, P, P)
     loop = window == 0b101  # (*, P, *)
     # (*, P, P) and (P, P, *) windows contribute nothing
@@ -196,17 +188,13 @@ def _generator_layout(
     return tuple(layout)
 
 
-def _generator_slots(
-    n: int, i: int, params: ModelParams, right_end: str = _UNIFORM
-) -> dict[int, np.ndarray]:
+def _generator_slots(n: int, i: int, params: ModelParams) -> dict[int, np.ndarray]:
     """U_i on fib_sequences(n) as _Sparse mask slots {mask: values}.
 
     The masks and kinds are the cached, read-only layout of
     _generator_layout; only the values are built per call, gathered from
     the four couplings and a 0.
     """
-    if right_end not in (_UNIFORM, _LITERAL):
-        raise ValueError(f"right_end must be {_UNIFORM!r} or {_LITERAL!r}")
     if not 1 <= n <= MATRIX_MAX_N:
         raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if not 1 <= i <= n + 1:
@@ -215,13 +203,11 @@ def _generator_slots(
     couplings = np.array(
         [params.a, params.delta - params.a, params.delta, params.b, 0.0]
     )
-    layout = _generator_layout(n, i, right_end)
+    layout = _generator_layout(n, i)
     return {mask: couplings[kind] for mask, kind in layout}
 
 
-def tl_generator_matrix(
-    n: int, i: int, params: ModelParams, right_end: str = _UNIFORM
-) -> np.ndarray:
+def tl_generator_matrix(n: int, i: int, params: ModelParams) -> np.ndarray:
     """Matrix of U_i (1 <= i <= n+1) on fib_sequences(n), columns acting.
 
     The window rule pads the string x to y = "*P" + x + "P" and lets U_i
@@ -233,15 +219,14 @@ def tl_generator_matrix(
         (*, P, P) and (P, P, *) -> 0
 
     (delta - a equals delta*b^2.) The leading "*P" padding only ever meets
-    the two diagonal rules, so the flanks are never rewritten.
-    right_end="literal" instead kills the (P, *, P) window at the last
-    position; that variant breaks U^2 = delta*U and is kept purely as a
-    diagnostic. States are held as integer bitmasks (letter k at bit n-1-k,
-    * = 1), so the window is read with shifts, and the matrix is the mask
-    slots of _generator_slots scattered into a dense array.
+    the two diagonal rules, so the flanks are never rewritten, and U_(n+1)
+    reads the trailing "P" as any other P. States are held as integer
+    bitmasks (letter k at bit n-1-k, * = 1), so the window is read with
+    shifts, and the matrix is the mask slots of _generator_slots scattered
+    into a dense array.
     """
     # the slots check n first, so n <= 0 is refused with the matrix bound
-    slots = _generator_slots(n, i, params, right_end)
+    slots = _generator_slots(n, i, params)
     dim = fib_dim(n)
     mat = np.zeros((dim, dim))
     for mask, values in slots.items():
@@ -265,8 +250,11 @@ def braid_word_matrix(word, basis_n: int, params: ModelParams) -> np.ndarray:
     """Left-to-right product of generator matrices for a braid word.
 
     The word must live on basis_n + 2 strands: the algebra on n+2 strands
-    is what acts on length-n sequences.
+    is what acts on length-n sequences. basis_n must be in
+    1..MATRIX_MAX_N, as for every generator matrix, even for an empty word.
     """
+    if not 1 <= basis_n <= MATRIX_MAX_N:
+        raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if word.strands != basis_n + 2:
         raise ValueError(
             f"word on {word.strands} strands needs basis_n = {word.strands - 2}"
@@ -410,9 +398,7 @@ class _Sparse:
         return _Sparse(self.n, slots)
 
 
-def verify_model(
-    n: int, params: ModelParams, tol: float = 1e-10, right_end: str = _UNIFORM
-) -> VerifyReport:
+def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyReport:
     """Check every defining relation of the representation at one point.
 
     Builds the mask slots of U_1 .. U_{n+1} on the length-n space, once
@@ -421,8 +407,7 @@ def verify_model(
     call only gathers values), and reports max-entry residuals for the
     Temperley-Lieb relations, symmetry, unitarity and the braid relations.
     The braid generators rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed
-    from the uniform-rule U_i, as in braid_generator_matrix; only under
-    right_end="literal" are those built a second time. Each matrix is held
+    from those same slots, as in braid_generator_matrix. Each matrix is held
     in _Sparse mask slots (U_i has at most two: the diagonal and the flip
     of its center bit), and every relation is evaluated operand pair by
     operand pair as the same matrix expression a dense check would use.
@@ -444,16 +429,11 @@ def verify_model(
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     dim = fib_dim(n)
-    gens = range(1, n + 2)
-    us = [_Sparse(n, _generator_slots(n, i, params, right_end)) for i in gens]
-    if right_end == _UNIFORM:
-        rho_us = us
-    else:
-        rho_us = [_Sparse(n, _generator_slots(n, i, params)) for i in gens]
+    us = [_Sparse(n, _generator_slots(n, i, params)) for i in range(1, n + 2)]
     eye = _Sparse(n, {0: np.append(np.ones(dim, dtype=complex), 0.0)})
     phase = cmath.exp(1j * params.a_phase)
-    rhos = [phase * eye + phase.conjugate() * u for u in rho_us]
-    rho_invs = [phase.conjugate() * eye + phase * u for u in rho_us]
+    rhos = [phase * eye + phase.conjugate() * u for u in us]
+    rho_invs = [phase.conjugate() * eye + phase * u for u in us]
     dlt = params.delta
     k = len(us)
     near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]

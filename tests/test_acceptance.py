@@ -236,10 +236,14 @@ def test_acceptance_8_three_strand_family():
 
 
 def test_acceptance_9_right_end_rule_matters():
+    # the literal boundary reading kills the (P, *, P) window of the last
+    # generator: U_3 at n = 2 with the column of "P*" zeroed
     params = fibonacci_params()
-    literal = tl_generator_matrix(2, 3, params, right_end="literal")
+    uniform = tl_generator_matrix(2, 3, params)
+    literal = uniform.copy()
+    literal[:, fib_sequences(2).index("P*")] = 0.0
     residual = _maxabs(literal @ literal - params.delta * literal)
     assert residual >= 0.1
-    uniform = tl_generator_matrix(2, 3, params)
+    assert _maxabs(literal - literal.T) >= 0.1
     assert _maxabs(uniform @ uniform - params.delta * uniform) == 0.0
-    _report(9, f"literal right-end rule breaks the projector (residual {residual:.3f}); uniform rule is float-exact")
+    _report(9, f"literal right-end rule breaks the projector (residual {residual:.3f}) and symmetry; uniform rule is float-exact")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -184,18 +185,41 @@ def test_fib_matrix_braid_is_complex_diagonal():
 
 
 def test_fib_matrix_braid_refuses_right_end():
-    for rule in ("uniform", "literal"):
-        argv = ["fib-matrix", "--n", "2", "--gen", "3", "--braid", "--right-end", rule]
+    # there is one window rule, so no command takes --right-end
+    for command in (
+        ["fib-matrix", "--n", "2", "--gen", "3", "--braid"],
+        ["fib-matrix", "--n", "2", "--gen", "3"],
+        ["fib-verify", "--n", "2"],
+        ["verify", "--module", "fib", "--n", "2"],
+    ):
+        for rule in ("uniform", "literal"):
+            code, out, err = _run([*command, "--right-end", rule])
+            assert (code, out) == (2, ""), command
+            assert "unrecognized arguments: --right-end" in err, command
+
+
+def _readme_command_lines():
+    """(argv, stdout or None) for each tlbraid line of the README's "Command
+    line" block; a "# " line right after a command is its expected output."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    examples = []
+    for line, following in zip(lines, [*lines[1:], ""]):
+        if line.startswith("tlbraid "):
+            want = following[2:] + "\n" if following.startswith("# ") else None
+            examples.append((shlex.split(line, comments=True)[1:], want))
+    return examples
+
+
+def test_readme_command_lines_run():
+    examples = _readme_command_lines()
+    assert examples and any(want for _, want in examples)
+    for argv, want in examples:
         code, out, err = _run(argv)
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: --right-end applies to U_i matrices, not to --braid\n"
-        )
-    # on U_i the option still selects the rule
-    argv = ["fib-matrix", "--n", "2", "--gen", "3", "--json"]
-    uniform = _run([*argv, "--right-end", "uniform"])
-    assert uniform == _run(argv)
-    assert _run([*argv, "--right-end", "literal"])[1] != uniform[1]
+        assert code == 0, (argv, err)
+        if want is not None:
+            assert out == want, argv
 
 
 def test_fib_matrix_json_payload():
@@ -217,13 +241,6 @@ def test_fib_verify_passes_both_signs():
         assert len(lines) == 9
         assert all(line.endswith("PASS") for line in lines[:-1])
         assert lines[0].startswith("U_i^2 = delta U_i")
-
-
-def test_fib_verify_literal_right_end_fails():
-    code, out, _ = _run(["fib-verify", "--n", "2", "--right-end", "literal"])
-    assert code == 1
-    assert "FAILED" in out.splitlines()[-1]
-    assert any("U_i^2 = delta U_i" in line and "FAIL" in line for line in out.splitlines())
 
 
 def test_fib_verify_generic_delta_fails_jones_row():
@@ -345,11 +362,13 @@ def test_verify_tl_json_report():
 def test_verify_tl_refuses_fib_only_options(extra, flags):
     for json_flag in ([], ["--json"]):
         argv = ["verify", "--module", "tl", "--n", "4", *extra, *json_flag]
-        assert _run(argv) == (
-            2,
-            "",
-            f"error: --module tl takes only --n and --json, not {flags}\n",
-        )
+        code, out, err = _run(argv)
+        assert (code, out) == (2, "")
+        if flags == "--right-end":
+            # no command takes it, so argparse refuses it
+            assert "unrecognized arguments: --right-end" in err
+        else:
+            assert err == f"error: --module tl takes only --n and --json, not {flags}\n"
 
 
 def test_verify_tl_range_message_names_no_flag():

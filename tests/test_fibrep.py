@@ -130,11 +130,9 @@ def test_two_label_generator_matrices():
     assert _maxabs(u2[:, basis.index("P*")]) == 0.0  # (P,P,*) window dies
 
 
-def _reference_generator_matrix(n, i, params, right_end="uniform"):
+def _reference_generator_matrix(n, i, params):
     """tl_generator_matrix as it was written on strings, before states
     became integer bitmasks: the independent reference for the builder."""
-    if right_end not in ("uniform", "literal"):
-        raise ValueError("right_end must be 'uniform' or 'literal'")
     if not 1 <= n <= MATRIX_MAX_N:
         raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if not 1 <= i <= n + 1:
@@ -148,8 +146,6 @@ def _reference_generator_matrix(n, i, params, right_end="uniform"):
         left, center, right = ext[i - 1], ext[i], ext[i + 1]
         if center == "*":
             # neighbors of a star are forced to P, so the window is (P,*,P)
-            if right_end == "literal" and i == n + 1:
-                continue
             mat[col, col] += a
             flipped = seq[: i - 2] + "P" + seq[i - 1 :]
             mat[basis.index(flipped), col] += b
@@ -180,16 +176,15 @@ def test_integer_states_decode_to_the_basis():
 def test_generator_layout_is_cached_and_read_only():
     # only the values depend on the loop value; the layout is shared
     build = fibrep._generator_slots
-    for right_end in ("uniform", "literal"):
-        slots = build(7, 8, fibonacci_params(), right_end)
-        slots2 = build(7, 8, make_params(1.5), right_end)
-        layout = fibrep._generator_layout(7, 8, right_end)
-        assert fibrep._generator_layout(7, 8, right_end) is layout
-        assert list(slots) == list(slots2) == [mask for mask, _ in layout]
-        for mask, kind in layout:
-            vals, vals2 = slots[mask], slots2[mask]
-            assert not kind.flags.writeable
-            assert vals2 is not vals and not np.array_equal(vals, vals2), mask
+    slots = build(7, 8, fibonacci_params())
+    slots2 = build(7, 8, make_params(1.5))
+    layout = fibrep._generator_layout(7, 8)
+    assert fibrep._generator_layout(7, 8) is layout
+    assert list(slots) == list(slots2) == [mask for mask, _ in layout]
+    for mask, kind in layout:
+        vals, vals2 = slots[mask], slots2[mask]
+        assert not kind.flags.writeable
+        assert vals2 is not vals and not np.array_equal(vals, vals2), mask
 
 
 def _dense_from_slots(sparse):
@@ -216,12 +211,11 @@ def test_generator_slots_are_the_dense_matrix(delta):
     for n in range(1, MATRIX_MAX_N + 1):
         dim = fib_dim(n)
         for i in range(1, n + 2):
-            for right_end in ("uniform", "literal"):
-                slots = fibrep._generator_slots(n, i, params, right_end)
-                assert list(slots) == ([0] if i == 1 else [0, 1 << (n + 1 - i)])
-                dense = _dense_from_slots(fibrep._Sparse(n, slots))
-                want = tl_generator_matrix(n, i, params, right_end)
-                assert dense[:dim, :dim].tobytes() == want.tobytes(), (n, i)
+            slots = fibrep._generator_slots(n, i, params)
+            assert list(slots) == ([0] if i == 1 else [0, 1 << (n + 1 - i)])
+            dense = _dense_from_slots(fibrep._Sparse(n, slots))
+            want = tl_generator_matrix(n, i, params)
+            assert dense[:dim, :dim].tobytes() == want.tobytes(), (n, i)
 
 
 @pytest.mark.parametrize("delta", [PHI, -PHI, 1.5, 2.0, -1.3])
@@ -229,10 +223,9 @@ def test_generator_matches_string_reference(delta):
     params = make_params(delta)
     for n in range(1, MATRIX_MAX_N + 1):
         for i in range(1, n + 2):
-            for right_end in ("uniform", "literal"):
-                got = tl_generator_matrix(n, i, params, right_end)
-                want = _reference_generator_matrix(n, i, params, right_end)
-                assert np.array_equal(got, want), (n, i, right_end)
+            got = tl_generator_matrix(n, i, params)
+            want = _reference_generator_matrix(n, i, params)
+            assert np.array_equal(got, want), (n, i)
 
 
 def test_generator_bounds():
@@ -247,8 +240,6 @@ def test_generator_bounds():
         tl_generator_matrix(1, 3, p)
     with pytest.raises(ValueError):
         tl_generator_matrix(13, 1, p)
-    with pytest.raises(ValueError):
-        tl_generator_matrix(2, 2, p, right_end="bogus")
 
 
 def test_generators_real_symmetric():
@@ -267,11 +258,11 @@ def test_relation_suite_small_sizes():
             assert report.passed, [c for c in report.checks if not c.passed]
 
 
-def _dense_reference(n, params, right_end="uniform"):
+def _dense_reference(n, params):
     """(name, residual, passed) rows from dense products on the public
     generator matrices: the relation suite as verify_model computed it
     before it switched to sparse products."""
-    us = [tl_generator_matrix(n, i, params, right_end) for i in range(1, n + 2)]
+    us = [tl_generator_matrix(n, i, params) for i in range(1, n + 2)]
     rhos = [braid_generator_matrix(n, i, params) for i in range(1, n + 2)]
     rho_invs = [
         braid_generator_matrix(n, i, params, inverse=True) for i in range(1, n + 2)
@@ -314,21 +305,19 @@ def _dense_reference(n, params, right_end="uniform"):
 
 
 REFERENCE_POINTS = {
-    "+phi": (partial(fibonacci_params, 1), "uniform"),
-    "-phi": (partial(fibonacci_params, -1), "uniform"),
-    "delta=1.5": (partial(make_params, 1.5), "uniform"),
-    "delta=2.0": (partial(make_params, 2.0), "uniform"),
-    "+phi literal": (partial(fibonacci_params, 1), "literal"),
+    "+phi": partial(fibonacci_params, 1),
+    "-phi": partial(fibonacci_params, -1),
+    "delta=1.5": partial(make_params, 1.5),
+    "delta=2.0": partial(make_params, 2.0),
 }
 
 
 @pytest.mark.parametrize("point", sorted(REFERENCE_POINTS))
 def test_verify_model_matches_dense_reference(point):
-    make, right_end = REFERENCE_POINTS[point]
-    params = make()
+    params = REFERENCE_POINTS[point]()
     for n in range(1, 8):
-        report = verify_model(n, params, tol=1e-10, right_end=right_end)
-        expected = _dense_reference(n, params, right_end)
+        report = verify_model(n, params, tol=1e-10)
+        expected = _dense_reference(n, params)
         assert [(c.name, c.passed) for c in report.checks] == [
             (name, passed) for name, _, passed in expected
         ], n
@@ -392,23 +381,18 @@ class _PairSparse:
         return float(np.max(np.abs(self.vals), initial=0.0))
 
 
-def _per_pair_reference(n, params, tol=1e-10, right_end="uniform"):
+def _per_pair_reference(n, params, tol=1e-10):
     """verify_model as it was before operand stacking: one sparse
     expression per operand pair, built from the dense public matrices."""
-    gens = range(1, n + 2)
     build = fibrep.tl_generator_matrix  # looked up here so patches apply
-    us = [_PairSparse.from_dense(build(n, i, params, right_end)) for i in gens]
-    if right_end == "uniform":
-        rho_us = us
-    else:
-        rho_us = [_PairSparse.from_dense(build(n, i, params)) for i in gens]
+    us = [_PairSparse.from_dense(build(n, i, params)) for i in range(1, n + 2)]
     dim = us[0].dim
     eye = _PairSparse(
         dim, np.arange(dim), np.arange(dim), np.ones(dim, dtype=complex)
     )
     phase = cmath.exp(1j * params.a_phase)
-    rhos = [phase * eye + phase.conjugate() * u for u in rho_us]
-    rho_invs = [phase.conjugate() * eye + phase * u for u in rho_us]
+    rhos = [phase * eye + phase.conjugate() * u for u in us]
+    rho_invs = [phase.conjugate() * eye + phase * u for u in us]
     dlt = params.delta
     k = len(us)
     near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
@@ -445,15 +429,12 @@ def _per_pair_reference(n, params, tol=1e-10, right_end="uniform"):
     return VerifyReport(n=n, delta=dlt, tol=tol, checks=tuple(checks))
 
 
-@pytest.mark.parametrize(
-    "point", ["+phi", "delta=1.5", "+phi literal"]
-)
+@pytest.mark.parametrize("point", ["+phi", "delta=1.5"])
 def test_stacked_report_equals_per_pair_reference(point):
-    make, right_end = REFERENCE_POINTS[point]
-    params = make()
+    params = REFERENCE_POINTS[point]()
     for n in (*range(1, 9), MATRIX_MAX_N):
-        report = verify_model(n, params, right_end=right_end)
-        assert report == _per_pair_reference(n, params, right_end=right_end), n
+        report = verify_model(n, params)
+        assert report == _per_pair_reference(n, params), n
 
 
 def _perturb_entries(monkeypatch, target, error):
@@ -461,8 +442,8 @@ def _perturb_entries(monkeypatch, target, error):
     moved by error, as seen by verify_model and tl_generator_matrix alike."""
     build = fibrep._generator_slots
 
-    def perturbed(n, i, params, right_end="uniform"):
-        slots = build(n, i, params, right_end)
+    def perturbed(n, i, params):
+        slots = build(n, i, params)
         if i == target:
             values = slots[max(slots)]  # the flip slot, built for this call
             values[np.flatnonzero(values)[0]] += error
@@ -538,8 +519,8 @@ def test_entry_off_the_generator_masks_matches_dense_reference(monkeypatch, delt
     product sums three or more mask pairs."""
     build = fibrep._generator_slots
 
-    def moved(n, i, params, right_end="uniform"):
-        slots = build(n, i, params, right_end)
+    def moved(n, i, params):
+        slots = build(n, i, params)
         if i == 3:
             states = fibrep._fib_states(n)
             flip = max(slots)
@@ -636,17 +617,39 @@ def test_negative_control_isolates_jones_relation():
 
 
 def test_literal_right_end_breaks_projector():
+    # reading the last window literally kills its (P, *, P) case: at n = 2
+    # that is U_3 with the column of "P*", the one string ending in *, zeroed
     p = fibonacci_params()
-    u = tl_generator_matrix(2, 3, p, right_end="literal")
+    uu = tl_generator_matrix(2, 3, p)
+    u = uu.copy()
+    u[:, fib_sequences(2).index("P*")] = 0.0
     assert _maxabs(u @ u - p.delta * u) >= 0.1
     assert _maxabs(u - u.T) >= 0.1  # also not symmetric
-    # only the last generator differs
-    for i in (1, 2):
-        same = tl_generator_matrix(2, i, p, right_end="literal")
-        assert _maxabs(same - tl_generator_matrix(2, i, p)) == 0.0
-    # and under the uniform rule the projector identity is float-exact
-    uu = tl_generator_matrix(2, 3, p)
+    # under the uniform rule the projector identity is float-exact
     assert _maxabs(uu @ uu - p.delta * uu) == 0.0
+
+
+def test_verify_model_fails_a_literal_last_window(monkeypatch):
+    # the literal reading of U_(n+1) loses every column whose string ends
+    # in *, that is whose state has bit 0 set
+    build = fibrep._generator_slots
+
+    def literal(n, i, params):
+        slots = build(n, i, params)
+        if i == n + 1:
+            states = fibrep._fib_states(n)
+            for mask, values in slots.items():
+                values[:-1][((states ^ mask) & 1) == 1] = 0.0
+        return slots
+
+    p = fibonacci_params()
+    want = tl_generator_matrix(2, 3, p)
+    want[:, fib_sequences(2).index("P*")] = 0.0
+    monkeypatch.setattr(fibrep, "_generator_slots", literal)
+    assert tl_generator_matrix(2, 3, p).tobytes() == want.tobytes()
+    for n in (2, 5, MATRIX_MAX_N):
+        failing = {c.name for c in verify_model(n, p).checks if not c.passed}
+        assert {"U_i^2 = delta U_i", "U_i symmetric"} <= failing, n
 
 
 def test_braid_generator_diagonal_on_one_label():
@@ -669,6 +672,14 @@ def test_braid_word_matrix_is_product():
     assert _maxabs(braid_word_matrix(BraidWord(4, ()), 2, p) - np.eye(3)) == 0.0
     with pytest.raises(ValueError):
         braid_word_matrix(BraidWord(3, (1,)), 2, p)
+
+
+def test_braid_word_matrix_refuses_n_out_of_range():
+    # checked before the identity is built, so an empty word cannot skip it
+    p = fibonacci_params()
+    for n in (0, MATRIX_MAX_N + 1, 198):
+        with pytest.raises(ValueError, match=f"1 <= n <= {MATRIX_MAX_N}"):
+            braid_word_matrix(BraidWord(n + 2, ()), n, p)
 
 
 def test_braid_word_matrix_unitary_and_relations():

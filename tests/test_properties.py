@@ -139,6 +139,7 @@ _VALUES = {
     "--delta": _reals,
     "--tol": _reals,
     "--delta-sign": st.sampled_from(["+", "-", "*"]),
+    # no command takes --right-end: it must exit 2, not raise
     "--right-end": st.sampled_from(["uniform", "literal", "sideways"]),
     "--module": st.sampled_from(["tl", "fib", "other"]),
 }
