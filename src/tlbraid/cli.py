@@ -96,17 +96,9 @@ def _matrix_json_entries(mat) -> list:
     return [[float(v.real), float(v.imag)] for row in mat for v in row]
 
 
-def _given(args, *names) -> dict:
-    """The named options given, as keywords; one left at its None parser
-    default takes its default from the library call that reads it."""
-    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-
-
 def _params_from_args(args):
     phase = parse_phase(args.phase) if args.phase is not None else None
     if args.delta is not None:
-        if args.delta_sign is not None:
-            raise ValueError("--delta-sign and --delta cannot be given together")
         return make_params(args.delta, phase)
     return fibonacci_params(-1 if args.delta_sign == "-" else 1, phase)
 
@@ -243,17 +235,15 @@ def _print_report(report, as_json: bool) -> int:
     return 1 if failed else 0
 
 
-def cmd_verify(args) -> int:
-    if args.module == "tl":
-        fib_only = _given(args, "delta", "delta_sign", "phase", "tol")
-        if fib_only:
-            flags = ", ".join("--" + name.replace("_", "-") for name in fib_only)
-            raise ValueError(f"--module tl takes only --n and --json, not {flags}")
-        report = verify_relations(args.n)
-    else:
-        params = _params_from_args(args)
-        report = verify_model(args.n, params, **_given(args, "tol"))
+def cmd_fib_verify(args) -> int:
+    # without --tol, verify_model's own default applies
+    tol = {} if args.tol is None else {"tol": args.tol}
+    report = verify_model(args.n, _params_from_args(args), **tol)
     return _print_report(report, args.json)
+
+
+def cmd_verify(args) -> int:
+    return _print_report(verify_relations(args.n), args.json)
 
 
 def _add_braid_args(sub):
@@ -267,31 +257,16 @@ def _add_braid_args(sub):
 
 
 def _add_params_args(sub):
-    sub.add_argument(
+    loop_value = sub.add_mutually_exclusive_group()
+    loop_value.add_argument(
         "--delta-sign",
         choices=["+", "-"],
         help="sign of the golden-ratio loop value (default +)",
     )
+    loop_value.add_argument("--delta", type=float, help="explicit loop value")
     sub.add_argument(
-        "--delta",
-        type=float,
-        default=None,
-        help="explicit loop value",
+        "--phase", help="bracket phase in radians or a pi literal like 3pi/5"
     )
-    sub.add_argument(
-        "--phase",
-        type=str,
-        default=None,
-        help="bracket phase in radians or a pi literal like 3pi/5",
-    )
-
-
-def _add_suite_args(sub):
-    """The options of the relation suites, fib-verify and verify."""
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--tol", type=float)
-    _add_params_args(sub)
-    sub.add_argument("--json", action="store_true")
 
 
 @functools.cache
@@ -350,21 +325,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fib_matrix)
 
     p = commands.add_parser("fib-verify", help="relation suite on the sequence space")
-    _add_suite_args(p)
-    p.set_defaults(func=cmd_verify, module="fib")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--tol", type=float)
+    _add_params_args(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cmd_fib_verify)
 
-    p = commands.add_parser("verify", help="relation suite (exact tl or numeric fib)")
-    p.add_argument("--module", choices=["tl", "fib"], required=True)
-    _add_suite_args(p)
+    p = commands.add_parser("verify", help="exact Temperley-Lieb relation suite")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
+    # main reports a stray option with the usage of the chosen command
+    for p in commands.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, stray = parser.parse_known_args(argv)
+        if stray:
+            args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

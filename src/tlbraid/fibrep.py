@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .tl import RelationCheck, VerifyReport
+from .tl import RelationCheck, VerifyReport, generator_pairs
 
 GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 FIBONACCI_PHASE = 3.0 * math.pi / 5.0
@@ -59,21 +59,33 @@ def fib_sequences(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Constants of the sequence-space representation.
+    """A point of the representation: the loop value delta and the
+    argument a_phase of the bracket variable A on the unit circle.
 
-    delta is the loop value, a = 1/delta and b = sqrt(1 - delta^-2) are the
-    window-rule couplings, a_phase is the argument of the bracket variable
-    A on the unit circle, and (lam, mu) are the two local exchange
-    eigenvalues lam = conj(A) and mu = -lam^-3. Build instances with
-    make_params or fibonacci_params rather than directly.
+    The rest is derived on read: the window-rule couplings a = 1/delta and
+    b = sqrt(1 - delta^-2), and the exchange eigenvalues lam = conj(A) and
+    mu = -lam^-3. Build instances with make_params or fibonacci_params,
+    which check both numbers.
     """
 
     delta: float
-    a: float
-    b: float
     a_phase: float
-    lam: complex
-    mu: complex
+
+    @property
+    def a(self) -> float:
+        return 1.0 / self.delta
+
+    @property
+    def b(self) -> float:
+        return math.sqrt(1.0 - self.a * self.a)
+
+    @property
+    def lam(self) -> complex:
+        return cmath.exp(1j * self.a_phase).conjugate()
+
+    @property
+    def mu(self) -> complex:
+        return -(self.lam ** -3)
 
 
 def compatible_phase(delta: float) -> float:
@@ -103,15 +115,11 @@ def make_params(delta: float, a_phase: float | None = None) -> ModelParams:
         raise ValueError(f"delta must be finite, got {delta!r}")
     if delta * delta < 1.0:
         raise ValueError("b = sqrt(1 - delta^-2) requires delta^2 >= 1")
-    a = 1.0 / delta
-    b = math.sqrt(1.0 - a * a)
     if a_phase is None:
         a_phase = compatible_phase(delta)
     elif not math.isfinite(a_phase):
         raise ValueError(f"phase must be finite, got {a_phase!r}")
-    lam = cmath.exp(1j * a_phase).conjugate()
-    mu = -(lam ** -3)
-    return ModelParams(delta=delta, a=a, b=b, a_phase=a_phase, lam=lam, mu=mu)
+    return ModelParams(delta=delta, a_phase=a_phase)
 
 
 def fibonacci_params(sign: int = 1, a_phase: float | None = None) -> ModelParams:
@@ -241,8 +249,8 @@ def braid_generator_matrix(
 ) -> np.ndarray:
     """Braid generator A*I + A^-1*U_i (swap the weights when inverse)."""
     u = tl_generator_matrix(n, i, params)
-    phase = cmath.exp(1j * params.a_phase)
-    ci, cu = (phase.conjugate(), phase) if inverse else (phase, phase.conjugate())
+    lam = params.lam  # A^-1, as A is on the unit circle
+    ci, cu = (lam, lam.conjugate()) if inverse else (lam.conjugate(), lam)
     return ci * np.eye(len(u), dtype=complex) + cu * u
 
 
@@ -431,13 +439,12 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     dim = fib_dim(n)
     us = [_Sparse(n, _generator_slots(n, i, params)) for i in range(1, n + 2)]
     eye = _Sparse(n, {0: np.append(np.ones(dim, dtype=complex), 0.0)})
-    phase = cmath.exp(1j * params.a_phase)
-    rhos = [phase * eye + phase.conjugate() * u for u in us]
-    rho_invs = [phase.conjugate() * eye + phase * u for u in us]
+    lam = params.lam  # A^-1, as A is on the unit circle
+    rhos = [lam.conjugate() * eye + lam * u for u in us]
+    rho_invs = [lam * eye + lam.conjugate() * u for u in us]
     dlt = params.delta
     k = len(us)
-    near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
-    far = [(i, j) for i in range(k) for j in range(i + 2, k)]
+    near, far = generator_pairs(k)
 
     checks = []
 

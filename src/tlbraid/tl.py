@@ -683,21 +683,27 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
 
+def generator_pairs(k: int) -> tuple[list, list]:
+    """The (near, far) index pairs of k generators: |i-j| = 1, and i + 1 < j."""
+    near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
+    far = [(i, j) for i in range(k) for j in range(i + 2, k)]
+    return near, far
+
+
 def verify_relations(n: int) -> VerifyReport:
     """The Temperley-Lieb relations on n strands, exactly in the diagram algebra.
 
     Checks U_i U_i = delta U_i, U_i U_j U_i = U_i for adjacent i and j,
     U_i U_j = U_j U_i for distant ones, and trace(U_i U_j) = trace(U_j U_i),
     comparing LaurentPoly coefficients with ==. Raises ValueError when n is
-    outside 1..12.
+    outside 1..ENUMERATION_MAX_N.
     """
-    if not 1 <= n <= 12:
-        raise ValueError("n must be in 1..12")
+    if not 1 <= n <= ENUMERATION_MAX_N:
+        raise ValueError(f"n must be in 1..{ENUMERATION_MAX_N}")
     dlt = delta()
     gens = [TLElement.generator(n, i) for i in range(1, n)]
     k = len(gens)
-    near = [(i, j) for i in range(k) for j in (i - 1, i + 1) if 0 <= j < k]
-    far = [(i, j) for i in range(k) for j in range(i + 2, k)]
+    near, far = generator_pairs(k)
 
     def holds(pairs) -> bool:
         return all(lhs == rhs for lhs, rhs in pairs)

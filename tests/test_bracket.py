@@ -124,6 +124,13 @@ def test_trefoil_chirality_certificate():
     assert cert.f_mirror == normalized_bracket(TREFOIL.inverse())
 
 
+def test_chirality_certificate_refuses_a_mismatched_mirror(monkeypatch):
+    # a bracket that ignores the word: the inverse word's then is not the mirror
+    monkeypatch.setattr(bracket_module, "normalized_bracket", lambda word: LaurentPoly({-4: 1}))
+    with pytest.raises(AssertionError, match="mirror invariant mismatch"):
+        chirality_certificate(TREFOIL)
+
+
 def test_figure_eight_is_its_own_mirror():
     cert = chirality_certificate(FIGURE_EIGHT)
     assert not cert.distinct

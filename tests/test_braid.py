@@ -105,6 +105,11 @@ def test_word_times_inverse_closes_trivially():
 def test_concatenation_requires_same_strands():
     with pytest.raises(ValueError):
         BraidWord(2, (1,)) * BraidWord(3, (1,))
+    w = BraidWord(3, (1, -2, 1))
+    assert len(w) == 3 and len(BraidWord(3)) == 0
+    assert len(w * w) == 6
+    with pytest.raises(TypeError):
+        w * 3  # a word is concatenated with a word, never repeated by an int
 
 
 def test_json_round_trip():

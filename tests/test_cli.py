@@ -190,12 +190,27 @@ def test_fib_matrix_braid_refuses_right_end():
         ["fib-matrix", "--n", "2", "--gen", "3", "--braid"],
         ["fib-matrix", "--n", "2", "--gen", "3"],
         ["fib-verify", "--n", "2"],
-        ["verify", "--module", "fib", "--n", "2"],
+        ["verify", "--n", "2"],
     ):
         for rule in ("uniform", "literal"):
             code, out, err = _run([*command, "--right-end", rule])
             assert (code, out) == (2, ""), command
             assert "unrecognized arguments: --right-end" in err, command
+
+
+@pytest.mark.parametrize(
+    "argv, stray",
+    [
+        (["verify", "--n", "3", "--delta", "2"], "--delta 2"),
+        (["fib-verify", "--n", "2", "--bogus"], "--bogus"),
+        (["fib-matrix", "--n", "2", "--gen", "2", "--tol", "0"], "--tol 0"),
+    ],
+)
+def test_stray_option_shows_the_command_usage(argv, stray):
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: tlbraid {argv[0]} [-h] --n N ")
+    assert err.endswith(f"tlbraid {argv[0]}: error: unrecognized arguments: {stray}\n")
 
 
 def _readme_command_lines():
@@ -251,7 +266,7 @@ def test_fib_verify_generic_delta_fails_jones_row():
 
 
 def test_verify_tl_exact_suite():
-    code, out, _ = _run(["verify", "--module", "tl", "--n", "4"])
+    code, out, _ = _run(["verify", "--n", "4"])
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "all relations hold exactly"
@@ -261,9 +276,15 @@ def test_verify_tl_exact_suite():
 
 
 def test_verify_fib_routes_to_numeric_suite():
-    code, out, _ = _run(["verify", "--module", "fib", "--n", "2", "--phase", "3pi/5"])
+    # fib-verify is the numeric suite; verify, the exact one, has no --module
+    code, out, _ = _run(["fib-verify", "--n", "2", "--phase", "3pi/5"])
     assert code == 0
     assert out.splitlines()[-1] == "all relations hold at tol 1e-10"
+    for module in ("fib", "tl"):
+        code, out, err = _run(["verify", "--module", module, "--n", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: tlbraid verify ")
+        assert err.endswith(f"error: unrecognized arguments: --module {module}\n")
 
 
 def _reject_constant(name):
@@ -283,7 +304,6 @@ def test_fib_verify_json_report():
     for check, line in zip(payload["checks"], lines):
         assert line.startswith(check["name"] + " ")
     assert all(c["passed"] and 0.0 <= c["residual"] <= 1e-10 for c in payload["checks"])
-    assert _run(["verify", "--module", "fib", "--n", "3", "--json"]) == (code, out, "")
 
 
 def test_fib_verify_json_failures():
@@ -325,7 +345,7 @@ def test_fib_verify_at_the_largest_size(extra, params, code):
 
 def test_verify_tl_json_report():
     for n in (1, 4, 12):
-        argv = ["verify", "--module", "tl", "--n", str(n)]
+        argv = ["verify", "--n", str(n)]
         code, out, err = _run([*argv, "--json"])
         assert code == 0 and err == ""
         payload = json.loads(out, parse_constant=_reject_constant)
@@ -360,27 +380,26 @@ def test_verify_tl_json_report():
     ],
 )
 def test_verify_tl_refuses_fib_only_options(extra, flags):
+    # verify takes only --n and --json, so argparse refuses the rest
     for json_flag in ([], ["--json"]):
-        argv = ["verify", "--module", "tl", "--n", "4", *extra, *json_flag]
+        argv = ["verify", "--n", "4", *extra, *json_flag]
         code, out, err = _run(argv)
         assert (code, out) == (2, "")
-        if flags == "--right-end":
-            # no command takes it, so argparse refuses it
-            assert "unrecognized arguments: --right-end" in err
-        else:
-            assert err == f"error: --module tl takes only --n and --json, not {flags}\n"
+        assert err.startswith("usage: tlbraid verify [-h] --n N [--json]\n")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(extra)}\n")
+        assert all(flag in err for flag in flags.split(", "))
 
 
 def test_verify_tl_range_message_names_no_flag():
     for n in ("0", "13"):
-        code, out, err = _run(["verify", "--module", "tl", "--n", n])
+        code, out, err = _run(["verify", "--n", n])
         assert (code, out, err) == (2, "", "error: n must be in 1..12\n")
 
 
 _PARAMS_COMMANDS = [
     ["fib-verify", "--n", "3"],
     ["fib-matrix", "--n", "1", "--gen", "1", "--braid"],
-    ["verify", "--module", "fib", "--n", "3"],
+    ["fib-matrix", "--n", "1", "--gen", "1"],
 ]
 
 
@@ -397,14 +416,14 @@ def test_empty_phase_is_refused(argv):
 
 @pytest.mark.parametrize("argv", _PARAMS_COMMANDS)
 def test_delta_sign_with_delta_is_refused(argv):
+    # the two loop-value options are one mutually exclusive argparse group
     for sign in ("+", "-"):
-        for order in (["--delta", "1.5", "--delta-sign", sign],
-                      ["--delta-sign", sign, "--delta", "1.5"]):
-            assert _run([*argv, *order]) == (
-                2,
-                "",
-                "error: --delta-sign and --delta cannot be given together\n",
-            )
+        for first, second in (("--delta", "--delta-sign"), ("--delta-sign", "--delta")):
+            value = {"--delta": "1.5", "--delta-sign": sign}
+            code, out, err = _run([*argv, first, value[first], second, value[second]])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"usage: tlbraid {argv[0]} ")
+            assert err.endswith(f"error: argument {second}: not allowed with argument {first}\n")
     # either one alone still runs: generic delta fails the relation suite
     assert _run([*argv, "--delta", "1.5"])[0] == (0 if "fib-matrix" in argv else 1)
     assert _run([*argv, "--delta-sign", "-"])[0] == 0
@@ -415,7 +434,7 @@ def test_delta_sign_with_delta_is_refused(argv):
 def test_verify_tl_reports_a_failing_row(monkeypatch):
     # a wrong loop value breaks only the row that multiplies by it
     monkeypatch.setattr(tl_module, "delta", lambda: LaurentPoly({2: -1}))
-    argv = ["verify", "--module", "tl", "--n", "4"]
+    argv = ["verify", "--n", "4"]
     code, out, _ = _run(argv)
     assert code == 1
     lines = out.splitlines()
@@ -439,8 +458,8 @@ def test_repeated_runs_are_byte_identical():
         ["bracket", *TREFOIL, "--json"],
         ["jones", "--strands", "3", "--word", "1 -2 1 -2"],
         ["fib-verify", "--n", "4"],
-        ["verify", "--module", "tl", "--n", "4"],
-        ["verify", "--module", "tl", "--n", "4", "--json"],
+        ["verify", "--n", "4"],
+        ["verify", "--n", "4", "--json"],
         ["fib-matrix", "--n", "3", "--gen", "2", "--braid"],
     ):
         assert _run(argv) == _run(argv)
@@ -494,7 +513,7 @@ def test_usage_errors_exit_two():
         ["fib-matrix", "--n", "1", "--gen", "5"],
         ["fib-verify", "--n", "2", "--delta", "0.3"],
         ["fib-verify", "--n=-1"],
-        ["verify", "--module", "fib", "--n=-3"],
+        ["verify", "--n=-3"],
         ["eval", "--strands", "2", "--word", "1", "--phase", "nope"],
         ["eval", "--strands", "2", "--word", "1", "--phase", "pi/0", "--json"],
     ):
@@ -508,7 +527,7 @@ def test_non_finite_parameters_exit_two():
         ["fib-verify", "--n", "3", "--delta", "nan"],
         ["fib-verify", "--n", "3", "--delta", "inf"],
         ["fib-verify", "--n", "3", "--phase", "nan"],
-        ["verify", "--module", "fib", "--n", "3", "--delta", "nan"],
+        ["fib-verify", "--n", "3", "--delta", "nan", "--json"],
         ["fib-matrix", "--n", "2", "--gen", "1", "--delta", "inf"],
         ["fib-matrix", "--n", "2", "--gen", "1", "--braid", "--phase", "inf"],
         ["eval", *TREFOIL, "--phase", "nan"],
@@ -535,7 +554,7 @@ def test_eval_refuses_a_phase_past_float_resolution():
 def test_bad_tol_exits_two(tol):
     for argv in (
         ["fib-verify", "--n", "3", f"--tol={tol}"],
-        ["verify", "--module", "fib", "--n", "3", f"--tol={tol}"],
+        ["fib-verify", "--n", "3", f"--tol={tol}", "--json"],
     ):
         code, out, err = _run(argv)
         assert (code, out) == (2, ""), argv

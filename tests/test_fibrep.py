@@ -1,6 +1,7 @@
 """Sequence spaces, window-rule generator matrices, unitarity, the 2x2 family."""
 
 import cmath
+import dataclasses
 import math
 import random
 import warnings
@@ -78,6 +79,18 @@ def test_params_invariants():
         assert abs(p.delta**2 * p.b**4 - 1.0) < 1e-12
     q = make_params(2.0)
     assert abs(q.delta**2 * q.b**4 - 1.0) > 0.1
+
+
+def test_params_hold_only_the_two_independent_numbers():
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["delta", "a_phase"]
+    p = make_params(-1.3, 0.3)
+    assert p == ModelParams(delta=-1.3, a_phase=0.3)
+    # the derived values are the expressions make_params once stored
+    a = 1.0 / -1.3
+    lam = cmath.exp(0.3j).conjugate()
+    assert (p.a, p.b, p.lam, p.mu) == (a, math.sqrt(1.0 - a * a), lam, -(lam**-3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.delta = 2.0
 
 
 def test_params_validation():
@@ -563,11 +576,7 @@ def test_verify_model_builds_each_generator_once(monkeypatch):
 
 
 def test_nan_residual_fails_its_row():
-    nan = math.nan
-    lam = cmath.exp(-1j * 3 * math.pi / 5)
-    params = ModelParams(
-        delta=nan, a=nan, b=nan, a_phase=3 * math.pi / 5, lam=lam, mu=-(lam**-3)
-    )
+    params = ModelParams(delta=math.nan, a_phase=3 * math.pi / 5)
     report = verify_model(3, params)
     assert not report.passed
     for check in report.checks:

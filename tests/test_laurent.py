@@ -67,6 +67,11 @@ def test_ring_axioms_random():
         assert (p * q) * r == p * (q * r)
         assert p * LaurentPoly.one() == p
         assert p + LaurentPoly.zero() == p
+        # an int on either side of - and ==
+        assert 5 - p == -(p - 5) == LaurentPoly({0: 5}) - p
+        assert (p - p == 0) and (p + 7 - p == 7) and not (p + 7 - p == 8)
+        assert bool(p) is not p.is_zero()
+        assert eval(repr(p), {"LaurentPoly": LaurentPoly}) == p
 
 
 def test_pow_matches_repeated_product():

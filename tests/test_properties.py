@@ -139,10 +139,11 @@ _VALUES = {
     "--delta": _reals,
     "--tol": _reals,
     "--delta-sign": st.sampled_from(["+", "-", "*"]),
-    # no command takes --right-end: it must exit 2, not raise
+    # no command takes --right-end or --module: each must exit 2, not raise
     "--right-end": st.sampled_from(["uniform", "literal", "sideways"]),
     "--module": st.sampled_from(["tl", "fib", "other"]),
 }
+_UNKNOWN = ("--right-end", "--module")
 _BRAID = ("--strands", "--word")
 _PARAMS = ("--delta-sign", "--delta", "--phase", "--right-end")
 # command -> (options it requires, options it takes besides)
@@ -153,7 +154,7 @@ _COMMANDS = {
     "dims": (("--max",), ()),
     "fib-matrix": (("--n", "--gen"), ("--braid", "--json") + _PARAMS),
     "fib-verify": (("--n",), ("--tol", "--json") + _PARAMS),
-    "verify": (("--module", "--n"), ("--tol", "--json") + _PARAMS),
+    "verify": (("--n",), ("--json", "--module")),
     "no-such-command": ((), ("--json",)),
 }
 
@@ -185,6 +186,8 @@ def test_fuzzed_argv_exits_cleanly(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), argv
+    if any(arg.startswith(_UNKNOWN) for arg in argv):
+        assert code == 2, argv
     assert "Traceback" not in err.getvalue(), argv
     if code in (0, 1) and "--json" in argv:
         for line in out.getvalue().splitlines():

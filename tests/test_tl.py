@@ -67,6 +67,18 @@ def test_rejects_crossing_and_non_involution():
         PlanarPairing(2, (2, 3, 0))  # wrong length
     with pytest.raises(ValueError):
         PlanarPairing(2, (2, 3, 1, 0))  # not an involution
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        PlanarPairing(0, ())
+    with pytest.raises(ValueError, match=r"endpoint 1 pairs out of range \(4\)"):
+        PlanarPairing(2, (2, 4, 0, 1))
+
+
+def test_pairings_and_elements_are_immutable():
+    for obj, name in ((PlanarPairing.identity(2), "partner"), (TLElement.identity(2), "_terms")):
+        for attr in (name, "size"):
+            with pytest.raises(AttributeError, match="is immutable"):
+                setattr(obj, attr, None)
+    assert PlanarPairing.identity(2).partner == (2, 3, 0, 1)
 
 
 def _crosses_reference(n, partner):
@@ -326,14 +338,24 @@ def test_rep_word_concatenation_is_multiplicative():
     rng = random.Random(2024)
     for _ in range(40):
         n = rng.randint(2, 5)
-        k1, k2 = rng.randrange(5), rng.randrange(5)
-        w1 = BraidWord(
-            n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(k1))
+        w1, w2, w3 = (
+            BraidWord(
+                n,
+                tuple(
+                    rng.choice([1, -1]) * rng.randint(1, n - 1)
+                    for _ in range(rng.randrange(5))
+                ),
+            )
+            for _ in range(3)
         )
-        w2 = BraidWord(
-            n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(k2))
-        )
-        assert rep_braid_word(w1 * w2) == rep_braid_word(w1) * rep_braid_word(w2)
+        x, y, z = (rep_braid_word(w) for w in (w1, w2, w3))
+        product = rep_braid_word(w1 * w2)
+        assert product == x * y
+        # equal elements hash alike, whichever route built them
+        assert hash(product) == hash(x * y)
+        assert (x + y) * z == x * z + y * z
+        assert x + y == y + x
+        assert (x + x.scale(LaurentPoly({0: -1}))).is_zero() and not x.is_zero()
 
 
 def test_rep_satisfies_braid_relations():
@@ -365,6 +387,12 @@ def test_rep_cubed_frozen():
         },
     )
     assert got == expected
+    # repr lists the diagrams by partner tuple and reads back as the element
+    text = repr(got)
+    assert text.startswith("TLElement(2, {PlanarPairing(2, [1, 0, 3, 2]): LaurentPoly(")
+    assert text.index("PlanarPairing(2, [2, 3, 0, 1])") > text.index("[1, 0, 3, 2]")
+    names = {"TLElement": TLElement, "PlanarPairing": PlanarPairing, "LaurentPoly": LaurentPoly}
+    assert eval(text, names) == got
 
 
 def test_markov_trace_values():
@@ -391,6 +419,10 @@ def test_size_mismatch_rejected():
     b = TLElement.identity(3)
     with pytest.raises(TypeError):
         a * b  # NotImplemented surfaces as TypeError
+    with pytest.raises(TypeError):
+        a + b
+    with pytest.raises(ValueError, match="equal size"):
+        PlanarPairing.identity(2).compose(PlanarPairing.identity(3))
 
 
 def test_pairing_json_round_trip():
