@@ -337,32 +337,108 @@ def three_strand_family(theta: float) -> ThreeStrandFamily:
     return ThreeStrandFamily(theta=theta, delta=dlt, u=u, f=f, v=v, r=r, s=s)
 
 
-# Residual slot arrays whose maxima verify_model takes in one numpy call:
-# 8 slots of dim + 1 complex values are 48 KB at n = 12. A residual of
-# products of U_i has at most 4 slots, so a batch holds at most 11, under
-# glibc's 128 KB mmap threshold: its buffers are reused, not faulted in.
-_FOLD_SLOTS = 8
+# Bytes per slot array of a _Sparse block: 32 KiB holds 5 members at
+# n = 12, whose complex slot arrays have 378 values. A residual of the
+# relation suite has at most 4 slots, so even the array that joins them for
+# its maximum stays under glibc's 128 KiB mmap threshold, and temporaries
+# reuse heap memory instead of faulting fresh pages in. Blocks also stay far
+# under the 256 KiB at which numpy elides temporaries: there `a * b[pick]`
+# runs as `b[pick] *= a`, the right operand first, and complex multiply is
+# not bitwise commutative (FMA). On a 2-vCPU Xeon with 48 KiB of L1d per
+# core, 64 KiB blocks ran about 10 % slower and raised peak RSS by 0.9 MB.
+_BLOCK_BYTES = 32 * 1024
+
+
+@lru_cache(maxsize=None)
+def _signature(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Each mask as its coordinates over GF(2) in a basis built greedily,
+    in order, from the masks themselves.
+
+    Two mask sequences have equal signatures exactly when the same XOR
+    relations hold among them, so any expression in their slots meets the
+    same coinciding masks in the same order. Mask 0 has coordinates 0.
+    """
+    basis = []  # (vector, coordinates), leading bits distinct, descending
+    coords = []
+    for m in masks:
+        c = 0
+        for v, cv in basis:
+            if m ^ v < m:  # the leading bit of v is set in m
+                m, c = m ^ v, c ^ cv
+        if m:
+            cv = 1 << len(basis)
+            basis.append((m, cv))
+            basis.sort(reverse=True)
+            c ^= cv
+        coords.append(c)
+    return tuple(coords)
+
+
+@lru_cache(maxsize=None)
+def _block_shift(n: int, masks: tuple[int, ...]) -> np.ndarray | None:
+    """Flat gather index of a block whose member b has slot mask masks[b]:
+    entry (b, r) is b * (dim + 1) + _shift(n, masks[b])[r], and None when
+    every mask is 0, whose gather is the identity.
+
+    A block holds at most _BLOCK_BYTES // 16 entries per slot, so the index
+    fits in uint16. The array is cached per masks, so it is read-only.
+    """
+    if not any(masks):
+        return None
+    width = fib_dim(n) + 1
+    pick = np.concatenate(
+        [_shift(n, m) + b * width for b, m in enumerate(masks)]
+    ).astype(np.uint16).reshape(len(masks), width)
+    pick.flags.writeable = False
+    return pick
+
+
+@lru_cache(maxsize=None)
+def _product_plan(n: int, left: tuple, right: tuple) -> tuple[tuple, tuple]:
+    """The slot keys of a _Sparse product and its steps (a, b, pick, k):
+    add left slot a times right slot b, gathered with pick (None for the
+    identity), into output slot k. Steps run left slots in order, each over
+    the right slots in order, and output slots are numbered as they first
+    occur, as a product of single matrices always ran.
+    """
+    keys, steps = {}, []
+    for a, ka in enumerate(left):
+        pick = _block_shift(n, ka)
+        for b, kb in enumerate(right):
+            k = tuple(x ^ y for x, y in zip(ka, kb))
+            steps.append((a, b, pick, keys.setdefault(k, len(keys))))
+    return tuple(keys), tuple(steps)
 
 
 class _Sparse:
-    """A square matrix on fib_sequences(n) as slots {mask: values}.
+    """A block of B square matrices on fib_sequences(n) as slots
+    {masks: values}, so a single matrix is a block of one.
 
-    values[r] is the entry in row r and in the column whose state is
-    _fib_states(n)[r] ^ mask; each values array has dim + 1 entries and
-    ends in a 0 pad, and every position without an entry holds an exact 0.
-    The operations assume nothing of their operands' masks. A product adds
-    va * vb[_shift(n, ma)] into the slot ma ^ mb, the left operand first
-    (numpy's complex multiply is not bitwise commutative), so each output
-    entry sums the products a dense matmul sums, plus exact zeros. No sort
-    is needed to fix the order of those sums: U_i has at most two slots
-    (the diagonal and the flip of its center bit), so no entry of a
-    product verify_model forms sums more than two nonzero terms, and a sum
-    of two floats does not depend on their order. Entries of more terms,
-    from matrices of other shapes, are summed in slot order and agree with
-    a dense product up to rounding. The shift of mask 0 is the identity, so
-    a product and .T use the diagonal slot's array as it is, with no
-    gather. Slot arrays are never written after the operation that made
-    them returns.
+    masks is a tuple of B ints and values a (B, dim + 1) array:
+    values[b, r] is the entry of member b in row r and in the column whose
+    state is _fib_states(n)[r] ^ masks[b]; every row ends in a 0 pad, and
+    every position without an entry holds an exact 0. A member is the sum
+    of its slots, whatever their masks. A product follows the steps of
+    _product_plan, which depend on the masks only and are cached: for each
+    slot pair it gathers vb to the left slot's columns, multiplies va into
+    that gather in place with np.multiply, left operand first (numpy's
+    complex multiply is not bitwise commutative, and unlike `*`,
+    np.multiply never lets temporary elision swap its operands), and adds
+    the result into the slot of masks ma ^ mb. The operands of a product
+    share one dtype. Each member then sums the products a dense matmul
+    sums, plus exact zeros, in slot order. No sort is needed to fix the
+    order of those sums: U_i has at most two slots (the diagonal and the
+    flip of its center bit), so no entry of a product verify_model forms
+    sums more than two nonzero terms, and a sum of two floats does not
+    depend on their order. Entries of more terms, from matrices of other
+    shapes, agree with a dense product up to rounding. The shift of mask 0
+    is the identity, so a product and .T use the diagonal slot's array as
+    it is, with no gather.
+
+    When the members of a block share a _signature, no two slots of one
+    member have the same mask, which the maximum of a residual needs, and
+    each member's entries are the floats a block of one computes. Slot
+    arrays are never written after the operation that made them returns.
     """
 
     __slots__ = ("n", "slots")
@@ -370,12 +446,23 @@ class _Sparse:
     def __init__(self, n: int, slots: dict):
         self.n, self.slots = n, slots
 
-    @property
-    def T(self) -> "_Sparse":
+    def take(self, rows: tuple[int, ...]) -> "_Sparse":
+        """The block of the members at rows, in that order."""
         return _Sparse(
             self.n,
-            {m: v[_shift(self.n, m)] if m else v for m, v in self.slots.items()},
+            {
+                tuple(map(masks.__getitem__, rows)): values.take(rows, axis=0)
+                for masks, values in self.slots.items()
+            },
         )
+
+    @property
+    def T(self) -> "_Sparse":
+        slots = {}
+        for m, v in self.slots.items():
+            pick = _block_shift(self.n, m)
+            slots[m] = v if pick is None else v.take(pick)
+        return _Sparse(self.n, slots)
 
     def conj(self) -> "_Sparse":
         return _Sparse(self.n, {m: v.conj() for m, v in self.slots.items()})
@@ -396,14 +483,77 @@ class _Sparse:
         return _Sparse(self.n, slots)
 
     def __matmul__(self, other: "_Sparse") -> "_Sparse":
-        slots = {}
-        for ma, va in self.slots.items():
-            pick = _shift(self.n, ma)
-            for mb, vb in other.slots.items():
-                term = va * (vb[pick] if ma else vb)
-                m = ma ^ mb
-                slots[m] = slots[m] + term if m in slots else term
-        return _Sparse(self.n, slots)
+        keys, steps = _product_plan(self.n, tuple(self.slots), tuple(other.slots))
+        left, right = list(self.slots.values()), list(other.slots.values())
+        out = [None] * len(keys)
+        for a, b, pick, k in steps:
+            if pick is None:
+                term = left[a] * right[b]
+            else:
+                term = right[b].take(pick)
+                np.multiply(left[a], term, out=term)
+            if out[k] is None:
+                out[k] = term
+            else:
+                out[k] += term
+        return _Sparse(self.n, dict(zip(keys, out)))
+
+
+@lru_cache(maxsize=None)
+def _verify_plan(n: int, layouts: tuple[tuple[int, ...], ...]) -> tuple:
+    """How verify_model stacks its operands, given the slot masks of
+    U_1 .. U_k in order.
+
+    Returns (stacks, blocks, cap). cap is the most members a block holds,
+    for at most _BLOCK_BYTES of complex values per slot array. stacks
+    lists the generators of each stack: generators of one _signature, in
+    order, cut into runs of at most cap. blocks maps each kind of operand
+    tuple ("each" (i,), "twice" (i, i), "near" and "far" pairs as
+    generator_pairs gives them, "next" (i, i + 1)) to its blocks: per
+    operand, the stack and the rows of it to take, or None for the whole
+    stack in order. A block holds at most cap operand tuples, in their
+    order, of one joint _signature and with each operand from one stack.
+    rho_i has the masks of U_i with the diagonal first, so these blocks
+    serve the braid rows too.
+    """
+    cap = max(1, _BLOCK_BYTES // (16 * (fib_dim(n) + 1)))
+    runs = {}
+    for i, layout in enumerate(layouts):
+        runs.setdefault(_signature(layout), []).append(i)
+    stacks = tuple(
+        tuple(group[start : start + cap])
+        for group in runs.values()
+        for start in range(0, len(group), cap)
+    )
+    where = {i: (g, r) for g, stack in enumerate(stacks) for r, i in enumerate(stack)}
+    k = len(layouts)
+    near, far = generator_pairs(k)
+    kinds = {
+        "each": [(i,) for i in range(k)],
+        "twice": [(i, i) for i in range(k)],
+        "near": near,
+        "far": far,
+        "next": [(i, i + 1) for i in range(k - 1)],
+    }
+    blocks = {}
+    for kind, members in kinds.items():
+        same = {}
+        for member in members:
+            masks = sum((layouts[i] for i in member), ())
+            key = (_signature(masks), tuple(where[i][0] for i in member))
+            same.setdefault(key, []).append(member)
+        found = []
+        for (_, stack_ids), group in same.items():
+            for start in range(0, len(group), cap):
+                chunk = group[start : start + cap]
+                block = []
+                for p, g in enumerate(stack_ids):
+                    take = tuple(where[member[p]][1] for member in chunk)
+                    whole = take == tuple(range(len(stacks[g])))
+                    block.append((g, None if whole else take))
+                found.append(tuple(block))
+        blocks[kind] = tuple(found)
+    return stacks, blocks, cap
 
 
 def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyReport:
@@ -415,20 +565,26 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     call only gathers values), and reports max-entry residuals for the
     Temperley-Lieb relations, symmetry, unitarity and the braid relations.
     The braid generators rho_i^(+-1) = A^(+-1) I + A^(-+1) U_i are formed
-    from those same slots, as in braid_generator_matrix. Each matrix is held
-    in _Sparse mask slots (U_i has at most two: the diagonal and the flip
-    of its center bit), and every relation is evaluated operand pair by
-    operand pair as the same matrix expression a dense check would use.
-    No dense matrix is formed and nothing is sorted: every temporary holds
-    dim + 1 values (6 KB at n = 12), small enough that the allocator
-    reuses its memory instead of returning pages to the OS and faulting
-    them in again. A row's maximum is taken over batches of _FOLD_SLOTS
-    residual slot arrays, one abs and one max per batch, each batch under
-    the allocator's mmap threshold too.
-    A NaN residual fails its row. All residuals pass at delta = +-golden
-    ratio with a compatible phase; a generic delta fails the
-    U_i U_(i+-1) U_i = U_i row, which is the point of running it as a
-    negative control.
+    from those same slots, as in braid_generator_matrix. No dense matrix is
+    formed and nothing is sorted.
+
+    Each slot of the generators is stacked once per call into _Sparse
+    blocks, one run of blocks per slot signature (U_1 has no flip slot),
+    and rho_i is formed once per block. Each relation row groups its
+    operand tuples by joint slot signature, cuts each group into blocks of
+    at most _BLOCK_BYTES per slot array (5 members at n = 12), and
+    evaluates the matrix expression a dense check would use on whole
+    blocks: one numpy call per slot pair per block, each entry the same
+    float as when the operands are taken one tuple at a time. The 32 KiB
+    cap keeps every temporary, even a residual's slots joined for its
+    maximum, under glibc's 128 KiB mmap threshold, so memory is reused
+    rather than faulted in afresh, and far under numpy's 256 KiB temporary
+    elision, which would swap the operands of a complex multiply and
+    change the last bits of a residual. The worst residual of a block is
+    taken with one abs and one max. A NaN residual fails its row. All
+    residuals pass at delta = +-golden ratio with a compatible phase; a
+    generic delta fails the U_i U_(i+-1) U_i = U_i row, which is the point
+    of running it as a negative control.
     Raises ValueError when n is outside 1..MATRIX_MAX_N or tol is
     negative or not finite.
     """
@@ -436,53 +592,61 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
         raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    dim = fib_dim(n)
-    us = [_Sparse(n, _generator_slots(n, i, params)) for i in range(1, n + 2)]
-    eye = _Sparse(n, {0: np.append(np.ones(dim, dtype=complex), 0.0)})
+    gens = [_generator_slots(n, i, params) for i in range(1, n + 2)]
+    stacks, blocks, cap = _verify_plan(n, tuple(tuple(g) for g in gens))
+    us = []
+    for stack in stacks:
+        members = [gens[i] for i in stack]
+        slots = zip(zip(*members), zip(*(g.values() for g in members)))
+        us.append(_Sparse(n, {masks: np.stack(values) for masks, values in slots}))
+    ones = np.ones((cap, fib_dim(n) + 1), dtype=complex)
+    ones[:, -1] = 0.0
     lam = params.lam  # A^-1, as A is on the unit circle
-    rhos = [lam.conjugate() * eye + lam * u for u in us]
-    rho_invs = [lam * eye + lam.conjugate() * u for u in us]
     dlt = params.delta
-    k = len(us)
-    near, far = generator_pairs(k)
 
-    checks = []
+    def eye(block):
+        size = len(next(iter(block.slots)))
+        return _Sparse(n, {(0,) * size: ones[:size]})
 
-    def add(name, residuals):
-        # an overflow at a huge delta shows up in the row, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            maxima, batch = [], []
-            for r in residuals:
-                batch += r.slots.values()
-                if len(batch) >= _FOLD_SLOTS:
-                    maxima.append(np.abs(np.concatenate(batch)).max())
-                    batch = []
-            maxima.append(np.abs(np.concatenate((*batch, [0.0]))).max())
-            # ndarray.max, unlike the builtin max, carries a NaN through
-            worst = float(np.max(maxima))
-        checks.append(RelationCheck(name, worst, worst <= tol))
-
-    add("U_i^2 = delta U_i", (u @ u - dlt * u for u in us))
-    add(
-        "U_i U_j U_i = U_i (|i-j| = 1)",
-        (us[i] @ us[j] @ us[i] - us[i] for i, j in near),
-    )
-    add(
-        "U_i U_j = U_j U_i (|i-j| > 1)",
-        (us[i] @ us[j] - us[j] @ us[i] for i, j in far),
-    )
-    add("U_i symmetric", (u - u.T for u in us))
-    add("rho_i unitary", (r @ r.conj().T - eye for r in rhos))
-    add("rho_i rho_i^-1 = I", (r @ ri - eye for r, ri in zip(rhos, rho_invs)))
-    add(
-        "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
+    rhos = [lam.conjugate() * eye(u) + lam * u for u in us]
+    relations = (
+        ("U_i^2 = delta U_i", "each", (us,), lambda u: u @ u - dlt * u),
+        ("U_i U_j U_i = U_i (|i-j| = 1)", "near", (us, us), lambda a, b: a @ b @ a - a),
+        ("U_i U_j = U_j U_i (|i-j| > 1)", "far", (us, us), lambda a, b: a @ b - b @ a),
+        ("U_i symmetric", "each", (us,), lambda u: u - u.T),
+        ("rho_i unitary", "each", (rhos,), lambda r: r @ r.conj().T - eye(r)),
         (
-            rhos[i] @ rhos[i + 1] @ rhos[i] - rhos[i + 1] @ rhos[i] @ rhos[i + 1]
-            for i in range(k - 1)
+            "rho_i rho_i^-1 = I",
+            "twice",
+            (rhos, us),
+            lambda r, u: r @ (lam * eye(u) + lam.conjugate() * u) - eye(u),
+        ),
+        (
+            "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
+            "next",
+            (rhos, rhos),
+            lambda a, b: a @ b @ a - b @ a @ b,
+        ),
+        (
+            "rho_i rho_j = rho_j rho_i (|i-j| > 1)",
+            "far",
+            (rhos, rhos),
+            lambda a, b: a @ b - b @ a,
         ),
     )
-    add(
-        "rho_i rho_j = rho_j rho_i (|i-j| > 1)",
-        (rhos[i] @ rhos[j] - rhos[j] @ rhos[i] for i, j in far),
-    )
+    checks = []
+    # an overflow at a huge delta shows up in the row, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, kind, families, residual in relations:
+            maxima = []
+            for block in blocks[kind]:
+                operands = [
+                    family[g] if take is None else family[g].take(take)
+                    for family, (g, take) in zip(families, block)
+                ]
+                slots = residual(*operands).slots.values()
+                maxima.append(np.abs(np.concatenate(tuple(slots))).max())
+            # ndarray.max, unlike the builtin max, carries a NaN through
+            worst = float(np.max(maxima, initial=0.0))
+            checks.append(RelationCheck(name, worst, worst <= tol))
     return VerifyReport(n=n, delta=dlt, tol=tol, checks=tuple(checks))

@@ -158,7 +158,10 @@ class LaurentPoly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return f"LaurentPoly({self._terms!r})"
+        # descending exponents, as __str__ and to_json, so equal values print alike
+        terms = sorted(self._terms.items(), reverse=True)
+        body = ", ".join(f"{e}: {c}" for e, c in terms)
+        return f"LaurentPoly({{{body}}})"
 
     def to_json(self) -> list:
         """[[exponent, coefficient-as-string], ...] sorted by descending exponent.

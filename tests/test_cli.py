@@ -458,6 +458,9 @@ def test_repeated_runs_are_byte_identical():
         ["bracket", *TREFOIL, "--json"],
         ["jones", "--strands", "3", "--word", "1 -2 1 -2"],
         ["fib-verify", "--n", "4"],
+        # the benchmark's size and loop values
+        ["fib-verify", "--n", "12", "--json", "--delta-sign", "-"],
+        ["fib-verify", "--n", "12", "--json", "--delta", "1.5"],
         ["verify", "--n", "4"],
         ["verify", "--n", "4", "--json"],
         ["fib-matrix", "--n", "3", "--gen", "2", "--braid"],

@@ -200,15 +200,15 @@ def test_generator_layout_is_cached_and_read_only():
         assert vals2 is not vals and not np.array_equal(vals, vals2), mask
 
 
-def _dense_from_slots(sparse):
-    """The (dim + 1)-square matrix of a _Sparse, the pad row and column
-    last; asserts that every slot value with no column, the pad included,
-    is an exact +0.0."""
-    states = fibrep._fib_states(sparse.n)
+def _dense_from_slots(n, slots):
+    """The (dim + 1)-square matrix of mask slots {mask: values}, the pad
+    row and column last; asserts that every slot value with no column, the
+    pad included, is an exact +0.0."""
+    states = fibrep._fib_states(n)
     dim = len(states)
-    dense = np.zeros((dim + 1, dim + 1), dtype=next(iter(sparse.slots.values())).dtype)
-    for mask, values in sparse.slots.items():
-        pick = fibrep._shift(sparse.n, mask)
+    dense = np.zeros((dim + 1, dim + 1), dtype=next(iter(slots.values())).dtype)
+    for mask, values in slots.items():
+        pick = fibrep._shift(n, mask)
         absent = pick == dim
         zeros = np.zeros(absent.sum(), values.dtype)
         assert values[absent].tobytes() == zeros.tobytes()
@@ -226,7 +226,7 @@ def test_generator_slots_are_the_dense_matrix(delta):
         for i in range(1, n + 2):
             slots = fibrep._generator_slots(n, i, params)
             assert list(slots) == ([0] if i == 1 else [0, 1 << (n + 1 - i)])
-            dense = _dense_from_slots(fibrep._Sparse(n, slots))
+            dense = _dense_from_slots(n, slots)
             want = tl_generator_matrix(n, i, params)
             assert dense[:dim, :dim].tobytes() == want.tobytes(), (n, i)
 
@@ -442,12 +442,39 @@ def _per_pair_reference(n, params, tol=1e-10):
     return VerifyReport(n=n, delta=dlt, tol=tol, checks=tuple(checks))
 
 
-@pytest.mark.parametrize("point", ["+phi", "delta=1.5"])
-def test_stacked_report_equals_per_pair_reference(point):
-    params = REFERENCE_POINTS[point]()
-    for n in (*range(1, 9), MATRIX_MAX_N):
+@pytest.mark.parametrize(
+    "params",
+    [*(REFERENCE_POINTS[point]() for point in sorted(REFERENCE_POINTS)),
+     fibonacci_params(1, 0.3)],
+    ids=[*sorted(REFERENCE_POINTS), "+phi@0.3"],
+)
+def test_stacked_report_equals_per_pair_reference(params):
+    # bit for bit: at delta = 2.0 and phase 0.3, a product left to numpy's
+    # temporary elision (blocks of 256 KiB) runs with its operands swapped
+    # and changes the last bits of residuals
+    for n in range(1, MATRIX_MAX_N + 1):
         report = verify_model(n, params)
         assert report == _per_pair_reference(n, params), n
+
+
+def test_blocks_stay_under_the_slot_array_cap(monkeypatch):
+    # 32 KiB per slot array keeps a residual of four slots under glibc's
+    # 128 KiB mmap threshold, and each array far under numpy's 256 KiB
+    # temporary elision
+    largest = []
+    init = fibrep._Sparse.__init__
+
+    def recorded(self, n, slots):
+        init(self, n, slots)
+        largest.append(max(values.nbytes for values in slots.values()))
+
+    monkeypatch.setattr(fibrep._Sparse, "__init__", recorded)
+    for n in range(1, MATRIX_MAX_N + 1):
+        largest.clear()
+        verify_model(n, fibonacci_params())
+        assert 0 < max(largest) <= 32 * 1024, n
+    # at n = 12 a block holds 5 members of 378 complex values
+    assert max(largest) == 5 * 378 * 16
 
 
 def _perturb_entries(monkeypatch, target, error):
@@ -558,6 +585,33 @@ def test_entry_off_the_generator_masks_matches_dense_reference(monkeypatch, delt
         for check, (_, residual, _) in zip(report.checks, expected):
             assert abs(check.residual - residual) <= 1e-14, (n, check.name)
         assert not report.passed
+
+
+def test_slot_on_both_center_flips_matches_dense_reference(monkeypatch):
+    """Give U_3 a third slot, at the mask of U_2's and U_3's center flips
+    together, with an entry in every row whose partner is a state. In
+    U_3 U_2 U_3 that slot meets the product of the two flip slots, in
+    U_3 U_4 U_3 it meets none, so the two operand pairs must not share a
+    block."""
+    build = fibrep._generator_slots
+
+    def widened(n, i, params):
+        slots = build(n, i, params)
+        if i == 3:
+            flip = max(slots)
+            mask = flip | (flip << 1)
+            pick = fibrep._shift(n, mask)
+            slots[mask] = np.where(pick < len(pick) - 1, 0.25, 0.0)
+        return slots
+
+    monkeypatch.setattr(fibrep, "_generator_slots", widened)
+    params = fibonacci_params()
+    for n in (3, 4, 7):
+        report = verify_model(n, params)
+        expected = _dense_reference(n, params)
+        for check, (name, residual, passed) in zip(report.checks, expected):
+            assert (check.name, check.passed) == (name, passed), n
+            assert abs(check.residual - residual) <= 1e-14, (n, name)
 
 
 def test_verify_model_builds_each_generator_once(monkeypatch):

@@ -74,6 +74,16 @@ def test_ring_axioms_random():
         assert eval(repr(p), {"LaurentPoly": LaurentPoly}) == p
 
 
+def test_repr_lists_descending_exponents():
+    # equal polynomials print alike whatever order their terms came in
+    p = LaurentPoly({-7: 1, 1: 1, -3: -1})
+    q = LaurentPoly({1: 1, -3: -1}) + LaurentPoly({-7: 1})
+    assert repr(p) == repr(q) == "LaurentPoly({1: 1, -3: -1, -7: 1})"
+    assert repr(LaurentPoly.zero()) == "LaurentPoly({})"
+    for poly in (p, LaurentPoly.zero(), LaurentPoly({0: -(10**30)})):
+        assert eval(repr(poly), {"LaurentPoly": LaurentPoly}) == poly
+
+
 def test_pow_matches_repeated_product():
     rng = random.Random(7)
     for _ in range(30):

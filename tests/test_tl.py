@@ -387,8 +387,12 @@ def test_rep_cubed_frozen():
         },
     )
     assert got == expected
-    # repr lists the diagrams by partner tuple and reads back as the element
+    # repr lists the diagrams by partner tuple and each polynomial by
+    # descending exponent, so equal elements print alike however built, and
+    # it reads back as the element
     text = repr(got)
+    assert text == repr(expected)
+    assert "LaurentPoly({1: 1, -3: -1, -7: 1})" in text
     assert text.startswith("TLElement(2, {PlanarPairing(2, [1, 0, 3, 2]): LaurentPoly(")
     assert text.index("PlanarPairing(2, [2, 3, 0, 1])") > text.index("[1, 0, 3, 2]")
     names = {"TLElement": TLElement, "PlanarPairing": PlanarPairing, "LaurentPoly": LaurentPoly}
