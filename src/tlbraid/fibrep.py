@@ -446,16 +446,6 @@ class _Sparse:
     def __init__(self, n: int, slots: dict):
         self.n, self.slots = n, slots
 
-    def take(self, rows: tuple[int, ...]) -> "_Sparse":
-        """The block of the members at rows, in that order."""
-        return _Sparse(
-            self.n,
-            {
-                tuple(map(masks.__getitem__, rows)): values.take(rows, axis=0)
-                for masks, values in self.slots.items()
-            },
-        )
-
     @property
     def T(self) -> "_Sparse":
         slots = {}
@@ -504,28 +494,27 @@ def _verify_plan(n: int, layouts: tuple[tuple[int, ...], ...]) -> tuple:
     """How verify_model stacks its operands, given the slot masks of
     U_1 .. U_k in order.
 
-    Returns (stacks, blocks, cap). cap is the most members a block holds,
-    for at most _BLOCK_BYTES of complex values per slot array. stacks
-    lists the generators of each stack: generators of one _signature, in
-    order, cut into runs of at most cap. blocks maps each kind of operand
-    tuple ("each" (i,), "twice" (i, i), "near" and "far" pairs as
-    generator_pairs gives them, "next" (i, i + 1)) to its blocks: per
-    operand, the stack and the rows of it to take, or None for the whole
-    stack in order. A block holds at most cap operand tuples, in their
-    order, of one joint _signature and with each operand from one stack.
-    rho_i has the masks of U_i with the diagonal first, so these blocks
-    serve the braid rows too.
+    Returns (runs, blocks). runs lists, in order, the generators of each
+    slot count: U_1 alone, then U_2 .. U_k. verify_model stacks each slot
+    of a run once per call into a source array. blocks maps each kind of
+    operand tuple ("each" (i,), "twice" (i, i), "near" and "far" pairs as
+    generator_pairs gives them, "next" (i, i + 1)) to its blocks. The tuples
+    of a kind are grouped by joint _signature alone, and each group is cut,
+    in order, into blocks of at most _BLOCK_BYTES of complex values per slot
+    array. Per operand a block gives its run, the read-only rows of that
+    run's sources to take, and the slot keys of the taken block: per slot,
+    the masks of its members. Mask 0 leads every layout and is the only
+    mask with coordinates 0, so a joint signature fixes the slot count of
+    each operand, and each operand of a block lies in one run. (It does not
+    fix an operand's own signature once a layout has three slots.) rho_i
+    has the masks of U_i with the diagonal first, so these blocks serve the
+    braid rows too.
     """
     cap = max(1, _BLOCK_BYTES // (16 * (fib_dim(n) + 1)))
     runs = {}
     for i, layout in enumerate(layouts):
-        runs.setdefault(_signature(layout), []).append(i)
-    stacks = tuple(
-        tuple(group[start : start + cap])
-        for group in runs.values()
-        for start in range(0, len(group), cap)
-    )
-    where = {i: (g, r) for g, stack in enumerate(stacks) for r, i in enumerate(stack)}
+        runs.setdefault(len(layout), []).append(i)
+    where = {i: (g, r) for g, run in enumerate(runs.values()) for r, i in enumerate(run)}
     k = len(layouts)
     near, far = generator_pairs(k)
     kinds = {
@@ -540,20 +529,19 @@ def _verify_plan(n: int, layouts: tuple[tuple[int, ...], ...]) -> tuple:
         same = {}
         for member in members:
             masks = sum((layouts[i] for i in member), ())
-            key = (_signature(masks), tuple(where[i][0] for i in member))
-            same.setdefault(key, []).append(member)
+            same.setdefault(_signature(masks), []).append(member)
         found = []
-        for (_, stack_ids), group in same.items():
+        for group in same.values():
             for start in range(0, len(group), cap):
-                chunk = group[start : start + cap]
                 block = []
-                for p, g in enumerate(stack_ids):
-                    take = tuple(where[member[p]][1] for member in chunk)
-                    whole = take == tuple(range(len(stacks[g])))
-                    block.append((g, None if whole else take))
+                for operands in zip(*group[start : start + cap]):
+                    rows = np.array([where[i][1] for i in operands])
+                    rows.flags.writeable = False
+                    keys = tuple(zip(*(layouts[i] for i in operands)))
+                    block.append((where[operands[0]][0], rows, keys))
                 found.append(tuple(block))
         blocks[kind] = tuple(found)
-    return stacks, blocks, cap
+    return tuple(map(tuple, runs.values())), blocks
 
 
 def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyReport:
@@ -568,11 +556,14 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     from those same slots, as in braid_generator_matrix. No dense matrix is
     formed and nothing is sorted.
 
-    Each slot of the generators is stacked once per call into _Sparse
-    blocks, one run of blocks per slot signature (U_1 has no flip slot),
-    and rho_i is formed once per block. Each relation row groups its
-    operand tuples by joint slot signature, cuts each group into blocks of
-    at most _BLOCK_BYTES per slot array (5 members at n = 12), and
+    Each slot of the generators is stacked once per call into one source
+    array per run of _verify_plan (U_1 alone, then U_2 .. U_{n+1}, which
+    have a flip slot), and rho_i and rho_i^-1 are formed once per run on
+    those plain arrays, the identity on the diagonal slot, which
+    _generator_layout puts first. Each relation row groups its operand
+    tuples by joint slot signature, cuts each group into blocks of at most
+    _BLOCK_BYTES per slot array (5 members at n = 12), takes each operand's
+    rows from its source with the cached plan's indices and slot keys, and
     evaluates the matrix expression a dense check would use on whole
     blocks: one numpy call per slot pair per block, each entry the same
     float as when the operands are taken one tuple at a time. The 32 KiB
@@ -580,11 +571,14 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     maximum, under glibc's 128 KiB mmap threshold, so memory is reused
     rather than faulted in afresh, and far under numpy's 256 KiB temporary
     elision, which would swap the operands of a complex multiply and
-    change the last bits of a residual. The worst residual of a block is
-    taken with one abs and one max. A NaN residual fails its row. All
-    residuals pass at delta = +-golden ratio with a compatible phase; a
-    generic delta fails the U_i U_(i+-1) U_i = U_i row, which is the point
-    of running it as a negative control.
+    change the last bits of a residual. A source may exceed the cap (72 KiB
+    at n = 12), since it is never an operand of a product: it is built by
+    stacking, scaled and added elementwise, and read by take, and it still
+    stays under both thresholds. The worst residual of a block is taken
+    with one abs and one max. A NaN residual fails its row. All residuals
+    pass at delta = +-golden ratio with a compatible phase; a generic delta
+    fails the U_i U_(i+-1) U_i = U_i row, which is the point of running it
+    as a negative control.
     Raises ValueError when n is outside 1..MATRIX_MAX_N or tol is
     negative or not finite.
     """
@@ -593,34 +587,36 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     gens = [_generator_slots(n, i, params) for i in range(1, n + 2)]
-    stacks, blocks, cap = _verify_plan(n, tuple(tuple(g) for g in gens))
-    us = []
-    for stack in stacks:
-        members = [gens[i] for i in stack]
-        slots = zip(zip(*members), zip(*(g.values() for g in members)))
-        us.append(_Sparse(n, {masks: np.stack(values) for masks, values in slots}))
-    ones = np.ones((cap, fib_dim(n) + 1), dtype=complex)
-    ones[:, -1] = 0.0
+    runs, blocks = _verify_plan(n, tuple(tuple(g) for g in gens))
+    width = fib_dim(n) + 1
     lam = params.lam  # A^-1, as A is on the unit circle
     dlt = params.delta
 
-    def eye(block):
-        size = len(next(iter(block.slots)))
-        return _Sparse(n, {(0,) * size: ones[:size]})
+    def identity(size):
+        ones = np.ones((size, width), dtype=complex)
+        ones[:, -1] = 0.0
+        return ones
 
-    rhos = [lam.conjugate() * eye(u) + lam * u for u in us]
+    def eye(block):
+        key = next(iter(block.slots))  # the diagonal slot: every mask 0
+        return _Sparse(n, {key: identity(len(key))})
+
+    us, rhos, rho_invs = [], [], []  # per run, the source of each slot
+    for run in runs:
+        u = [np.stack(values) for values in zip(*(gens[i].values() for i in run))]
+        ones = identity(len(run))
+        us.append(u)
+        rhos.append([lam.conjugate() * ones + lam * u[0], *(lam * v for v in u[1:])])
+        rho_invs.append(
+            [lam * ones + lam.conjugate() * u[0], *(lam.conjugate() * v for v in u[1:])]
+        )
     relations = (
         ("U_i^2 = delta U_i", "each", (us,), lambda u: u @ u - dlt * u),
         ("U_i U_j U_i = U_i (|i-j| = 1)", "near", (us, us), lambda a, b: a @ b @ a - a),
         ("U_i U_j = U_j U_i (|i-j| > 1)", "far", (us, us), lambda a, b: a @ b - b @ a),
         ("U_i symmetric", "each", (us,), lambda u: u - u.T),
         ("rho_i unitary", "each", (rhos,), lambda r: r @ r.conj().T - eye(r)),
-        (
-            "rho_i rho_i^-1 = I",
-            "twice",
-            (rhos, us),
-            lambda r, u: r @ (lam * eye(u) + lam.conjugate() * u) - eye(u),
-        ),
+        ("rho_i rho_i^-1 = I", "twice", (rhos, rho_invs), lambda r, s: r @ s - eye(r)),
         (
             "rho_i rho_j rho_i = rho_j rho_i rho_j (|i-j| = 1)",
             "next",
@@ -641,8 +637,8 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
             maxima = []
             for block in blocks[kind]:
                 operands = [
-                    family[g] if take is None else family[g].take(take)
-                    for family, (g, take) in zip(families, block)
+                    _Sparse(n, {k: v.take(rows, axis=0) for k, v in zip(keys, family[g])})
+                    for family, (g, rows, keys) in zip(families, block)
                 ]
                 slots = residual(*operands).slots.values()
                 maxima.append(np.abs(np.concatenate(tuple(slots))).max())

@@ -139,14 +139,18 @@ class LaurentPoly:
         value depends only on the polynomial, not on its term order. Raises
         ValueError when some theta*e is not finite or reaches 2^52 in
         magnitude: doubles there are 1 rad or more apart, so no digit of the
-        value would mean anything.
+        value would mean anything. Raises ValueError too when a coefficient
+        or a partial sum is past the largest double.
         """
         if not all(abs(theta * e) < 2.0**52 for e in self._terms):
             raise ValueError(f"phase {theta!r} too large: |phase * exponent| >= 2^52")
-        values = [c * cmath.exp(1j * theta * e) for e, c in self._terms.items()]
-        return complex(
-            math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
-        )
+        try:
+            values = [c * cmath.exp(1j * theta * e) for e, c in self._terms.items()]
+            return complex(
+                math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
+            )
+        except OverflowError:
+            raise ValueError(f"value at phase {theta!r} overflows a double") from None
 
     def __str__(self):
         if not self._terms:

@@ -578,19 +578,26 @@ def _word_state(
 def _unpacker(width: int, slots: int, top: int) -> Callable[[int], dict[int, int]]:
     """The function that unpacks a value of `slots` slots of `width` bits,
     slot k holding the coefficient of A^(top - 2k), into {exponent: coefficient}."""
-    # Adding `half` to every slot makes each one a plain base-2^width digit.
-    bits = slots * width
-    low = top - 2 * (slots - 1)  # exponent of the highest slot, read first
+    # Slots are read low first from the value's two's complement bytes, as
+    # balanced base-2^width digits: a digit of half or more is negative and
+    # borrows one from the next slot. Memory stays near the value's own size.
+    size = (slots * width + 7) // 8
+    mask = (1 << width) - 1
     half = 1 << (width - 1)
-    bias = int(("1" + "0" * (width - 1)) * slots, 2)
 
     def unpack(packed: int) -> dict[int, int]:
-        digits = format(packed + bias, "b").zfill(bits)
+        data = packed.to_bytes(size, "little", signed=True)
         terms = {}
-        for j in range(0, bits, width):
-            c = int(digits[j : j + width], 2) - half
+        borrow = 0
+        for k in range(slots):
+            start = k * width
+            chunk = data[start >> 3 : (start + width + 7) >> 3]
+            c = (int.from_bytes(chunk, "little") >> (start & 7) & mask) + borrow
+            borrow = c >= half
+            if borrow:
+                c -= mask + 1
             if c:
-                terms[low + 2 * j // width] = c
+                terms[top - 2 * k] = c
         return terms
 
     return unpack

@@ -553,6 +553,19 @@ def test_eval_refuses_a_phase_past_float_resolution():
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("route", ["bracket_via_tl", "normalized_bracket"])
+@pytest.mark.parametrize("terms", [{0: 2**1244, 4: -1}, {0: 2**1023, 2: 2**1023}])
+def test_eval_refuses_a_value_past_the_largest_double(monkeypatch, route, terms):
+    # the bracket of "1 -2" repeated 900 times on 3 strands has a 1244-bit
+    # coefficient; a stand-in polynomial keeps the test fast
+    monkeypatch.setattr(cli_module, route, lambda word: LaurentPoly(terms))
+    extra = ["--normalized"] if route == "normalized_bracket" else []
+    for json_flag in ([], ["--json"]):
+        code, out, err = _run(["eval", *TREFOIL, "--phase", "0", *extra, *json_flag])
+        assert (code, out) == (2, "")
+        assert err == "error: value at phase 0.0 overflows a double\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
 def test_bad_tol_exits_two(tol):
     for argv in (

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 import warnings
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,7 @@ from tlbraid import (
 )
 from tlbraid import fibrep
 from tlbraid.fibrep import MATRIX_MAX_N, ModelParams, RelationCheck, VerifyReport
+from tlbraid.tl import generator_pairs
 
 PHI = GOLDEN_RATIO
 
@@ -475,6 +477,41 @@ def test_blocks_stay_under_the_slot_array_cap(monkeypatch):
         assert 0 < max(largest) <= 32 * 1024, n
     # at n = 12 a block holds 5 members of 378 complex values
     assert max(largest) == 5 * 378 * 16
+
+
+def test_blocks_follow_the_joint_signatures_alone():
+    # no cut of the generators splits a signature group further: each
+    # group of operand tuples fills ceil(group / cap) blocks
+    counts = {}
+    for n in range(1, MATRIX_MAX_N + 1):
+        layouts = tuple(
+            tuple(mask for mask, _ in fibrep._generator_layout(n, i))
+            for i in range(1, n + 2)
+        )
+        cap = 32 * 1024 // (16 * (fib_dim(n) + 1))
+        k = n + 1
+        near, far = generator_pairs(k)
+        kinds = {
+            "each": [(i,) for i in range(k)],
+            "twice": [(i, i) for i in range(k)],
+            "near": near,
+            "far": far,
+            "next": [(i, i + 1) for i in range(k - 1)],
+        }
+        runs, blocks = fibrep._verify_plan(n, layouts)
+        for kind, members in kinds.items():
+            groups = Counter(
+                fibrep._signature(sum((layouts[i] for i in m), ())) for m in members
+            )
+            want = sum(-(-size // cap) for size in groups.values())
+            assert len(blocks[kind]) == want, (n, kind)
+            counts[kind] = len(blocks[kind])
+            for block in blocks[kind]:
+                for run, rows, keys in block:
+                    assert not rows.flags.writeable
+                    taken = [layouts[runs[run][r]] for r in rows]
+                    assert keys == tuple(zip(*taken)), (n, kind)
+    assert counts == {"each": 4, "twice": 4, "near": 7, "far": 14, "next": 4}
 
 
 def _perturb_entries(monkeypatch, target, error):

@@ -136,6 +136,14 @@ def test_evaluate_phase_refuses_a_phase_past_float_resolution():
         assert LaurentPoly.zero().evaluate_phase(theta) == 0
 
 
+def test_evaluate_phase_refuses_a_value_past_the_largest_double():
+    # a coefficient no double holds, and a sum of two that each fit
+    for terms in ({0: 2**1244, 4: -1}, {0: 2**1023, 2: 2**1023}):
+        with pytest.raises(ValueError, match="overflows a double"):
+            LaurentPoly(terms).evaluate_phase(0.0)
+    assert LaurentPoly({0: 2**1023, 2: -1}).evaluate_phase(0.0) == 2.0**1023
+
+
 def test_evaluate_phase_is_multiplicative():
     # relative tolerance: products of ~1e6-coefficient values carry ~1e-16
     # relative float error, so an absolute bound cannot hold at this scale

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -614,6 +615,37 @@ def test_close_holds_the_extra_bits_of_the_loop_powers():
         assert bracket_via_tl(word) == bracket_state_sum(word), letters
     assert bracket_via_tl(BraidWord(12, ())) == delta() ** 11
     assert bracket_via_tl(BraidWord(12, (1,))) == LaurentPoly({3: -1}) * delta() ** 10
+
+
+def _pack(coeffs, width):
+    """sum(c << k * width), split in halves so it costs O(n log n)."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    mid = len(coeffs) // 2
+    return _pack(coeffs[:mid], width) + (_pack(coeffs[mid:], width) << mid * width)
+
+
+def test_unpack_reads_balanced_slots_in_bounded_memory():
+    # about 1 MB of slots whose width is not a multiple of 8, with the
+    # extreme digits, zeros and a negative top slot
+    rng = random.Random(5)
+    width, slots, top = 8 * 1000 + 3, 1000, 37
+    half = 1 << (width - 1)
+    coeffs = [rng.randrange(-half, half) for _ in range(slots)]
+    coeffs[:6] = [-half, half - 1, 0, -1, 1, 0]
+    coeffs[-1] = -rng.randrange(1, half)
+    packed = _pack(coeffs, width)
+    size = (packed.bit_length() + 7) // 8
+    unpack = tl_module._unpacker(width, slots, top)
+    tracemalloc.start()
+    try:
+        terms = unpack(packed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert terms == {top - 2 * k: c for k, c in enumerate(coeffs) if c}
+    # a binary string of the value, one byte per bit, would be 8x alone
+    assert peak <= 4 * size, peak / size
 
 
 def test_state_cap_raises(monkeypatch):
