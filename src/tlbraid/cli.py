@@ -37,8 +37,10 @@ from .tl import verify_relations
 # big-int additions; f_1001 already has 210 digits.
 DIMS_MAX_N = 1000
 
+# a numerator, when given, has a digit: ".pi" is no pi literal
 _PHASE_RE = re.compile(
-    r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$", re.IGNORECASE
+    r"^([+-]?(?:\d+\.?\d*|\.\d+)?)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$",
+    re.IGNORECASE,
 )
 
 

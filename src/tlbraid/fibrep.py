@@ -151,13 +151,15 @@ def _fib_states(n: int) -> np.ndarray:
 def _shift(n: int, mask: int) -> np.ndarray:
     """Gather index from each basis index r of fib_sequences(n) to the index
     of the state _fib_states(n)[r] ^ mask, with one pad index dim appended.
+    mask may set bits 0 .. n, bit n being the left flank's P.
 
     Rows whose partner is not a state, and the pad itself, go to the pad.
     The array is cached per mask, so it is read-only.
     """
     states = _fib_states(n)
     dim = len(states)
-    index = np.full(1 << n, dim)
+    # partners with bit n set are never states: they land on the pad
+    index = np.full(2 << n, dim)
     index[states] = np.arange(dim)
     pick = np.append(index[states ^ mask], dim)
     pick.flags.writeable = False
@@ -167,14 +169,14 @@ def _shift(n: int, mask: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _generator_layout(n: int, i: int) -> tuple[tuple[int, np.ndarray], ...]:
     """U_i on fib_sequences(n) as mask slots ((mask, kind), ...): the
-    diagonal (mask 0) first, then the flip of the center bit, which U_1
-    lacks.
+    diagonal (mask 0), then the flip of the center bit, 1 << (n + 1 - i).
 
     As in _Sparse, row r of slot mask is the entry in the column whose
     state is _fib_states(n)[r] ^ mask; kind[r] says which of
     (a, delta - a, delta, b, 0) it holds, and the pad row, last, holds 0.
-    Depends on no parameter, so it is cached per (n, i) and its arrays are
-    read-only.
+    The center of U_1 is the left flank's P, so its flip partners are no
+    states and its flip slot is all 0. Depends on no parameter, so it is
+    cached per (n, i) and its arrays are read-only.
     """
     states = _fib_states(n)
     # the padded string "*P" + x + "P" as bits; U_i reads bits n+3-i..n+1-i
@@ -183,17 +185,14 @@ def _generator_layout(n: int, i: int) -> tuple[tuple[int, np.ndarray], ...]:
     empty = window == 0b000  # (P, P, P)
     loop = window == 0b101  # (*, P, *)
     # (*, P, P) and (P, P, *) windows contribute nothing
-    layout = [(0, np.append(np.select([star, empty, loop], [0, 1, 2], 4), 4))]
-    # star and empty windows never occur at i = 1, where the center is
-    # padding and 1 << n is no state bit, so U_1 has no flip slot
-    if i > 1:
-        flip = 1 << (n + 1 - i)
-        # row r holds b when its partner column sends b
-        sends_b = np.append(star | empty, False)
-        layout.append((flip, np.where(sends_b[_shift(n, flip)], 3, 4)))
+    diagonal = np.append(np.select([star, empty, loop], [0, 1, 2], 4), 4)
+    flip = 1 << (n + 1 - i)
+    # row r holds b when its partner column sends b
+    sends_b = np.append(star | empty, False)
+    layout = ((0, diagonal), (flip, np.where(sends_b[_shift(n, flip)], 3, 4)))
     for _, kind in layout:
         kind.flags.writeable = False
-    return tuple(layout)
+    return layout
 
 
 def _generator_slots(n: int, i: int, params: ModelParams) -> dict[int, np.ndarray]:
@@ -350,31 +349,6 @@ _BLOCK_BYTES = 32 * 1024
 
 
 @lru_cache(maxsize=None)
-def _signature(masks: tuple[int, ...]) -> tuple[int, ...]:
-    """Each mask as its coordinates over GF(2) in a basis built greedily,
-    in order, from the masks themselves.
-
-    Two mask sequences have equal signatures exactly when the same XOR
-    relations hold among them, so any expression in their slots meets the
-    same coinciding masks in the same order. Mask 0 has coordinates 0.
-    """
-    basis = []  # (vector, coordinates), leading bits distinct, descending
-    coords = []
-    for m in masks:
-        c = 0
-        for v, cv in basis:
-            if m ^ v < m:  # the leading bit of v is set in m
-                m, c = m ^ v, c ^ cv
-        if m:
-            cv = 1 << len(basis)
-            basis.append((m, cv))
-            basis.sort(reverse=True)
-            c ^= cv
-        coords.append(c)
-    return tuple(coords)
-
-
-@lru_cache(maxsize=None)
 def _block_shift(n: int, masks: tuple[int, ...]) -> np.ndarray | None:
     """Flat gather index of a block whose member b has slot mask masks[b]:
     entry (b, r) is b * (dim + 1) + _shift(n, masks[b])[r], and None when
@@ -427,18 +401,22 @@ class _Sparse:
     the result into the slot of masks ma ^ mb. The operands of a product
     share one dtype. Each member then sums the products a dense matmul
     sums, plus exact zeros, in slot order. No sort is needed to fix the
-    order of those sums: U_i has at most two slots (the diagonal and the
-    flip of its center bit), so no entry of a product verify_model forms
-    sums more than two nonzero terms, and a sum of two floats does not
-    depend on their order. Entries of more terms, from matrices of other
-    shapes, agree with a dense product up to rounding. The shift of mask 0
-    is the identity, so a product and .T use the diagonal slot's array as
-    it is, with no gather.
+    order of those sums: U_i has two slots (the diagonal and the flip of
+    its center bit), so no entry of a product verify_model forms sums more
+    than two nonzero terms, and a sum of two floats does not depend on
+    their order. Entries of more terms, from matrices of other shapes,
+    agree with a dense product up to rounding. The shift of mask 0 is the
+    identity, so a product and .T use the diagonal slot's array as it is,
+    with no gather.
 
-    When the members of a block share a _signature, no two slots of one
-    member have the same mask, which the maximum of a residual needs, and
-    each member's entries are the floats a block of one computes. Slot
-    arrays are never written after the operation that made them returns.
+    The flips of U_1 .. U_(n+1) are distinct single bits, and the operands
+    of every member of a verify_model block are all one generator or all
+    distinct ones, so in any expression verify_model forms, two slots of a
+    member coincide in mask exactly when they do in every other member of
+    its block. So no two slots of one member have the same mask, which the
+    maximum of a residual needs, and each member's entries are the floats
+    a block of one computes. Slot arrays are never written after the
+    operation that made them returns.
     """
 
     __slots__ = ("n", "slots")
@@ -490,32 +468,24 @@ class _Sparse:
 
 
 @lru_cache(maxsize=None)
-def _verify_plan(n: int, layouts: tuple[tuple[int, ...], ...]) -> tuple:
-    """How verify_model stacks its operands, given the slot masks of
-    U_1 .. U_k in order.
+def _verify_plan(n: int) -> dict:
+    """How verify_model stacks its operands on the length-n space.
 
-    Returns (runs, blocks). runs lists, in order, the generators of each
-    slot count: U_1 alone, then U_2 .. U_k. verify_model stacks each slot
-    of a run once per call into a source array. blocks maps each kind of
-    operand tuple ("each" (i,), "twice" (i, i), "near" and "far" pairs as
-    generator_pairs gives them, "next" (i, i + 1)) to its blocks. The tuples
-    of a kind are grouped by joint _signature alone, and each group is cut,
-    in order, into blocks of at most _BLOCK_BYTES of complex values per slot
-    array. Per operand a block gives its run, the read-only rows of that
-    run's sources to take, and the slot keys of the taken block: per slot,
-    the masks of its members. Mask 0 leads every layout and is the only
-    mask with coordinates 0, so a joint signature fixes the slot count of
-    each operand, and each operand of a block lies in one run. (It does not
-    fix an operand's own signature once a layout has three slots.) rho_i
-    has the masks of U_i with the diagonal first, so these blocks serve the
-    braid rows too.
+    Maps each kind of operand tuple ("each" (i,), "twice" (i, i), "near"
+    and "far" pairs as generator_pairs gives them, "next" (i, i + 1)) to
+    its blocks: the tuples of the kind cut, in order, into blocks of at
+    most _BLOCK_BYTES of complex values per slot array. Per operand a block
+    gives the read-only rows of the sources to take, which are the indices
+    of its generators, and the slot keys of the taken block: per slot, the
+    masks of its members, read from _generator_layout. rho_i has the masks
+    of U_i with the diagonal first, so these blocks serve the braid rows
+    too.
     """
     cap = max(1, _BLOCK_BYTES // (16 * (fib_dim(n) + 1)))
-    runs = {}
-    for i, layout in enumerate(layouts):
-        runs.setdefault(len(layout), []).append(i)
-    where = {i: (g, r) for g, run in enumerate(runs.values()) for r, i in enumerate(run)}
-    k = len(layouts)
+    k = n + 1
+    layouts = [
+        tuple(mask for mask, _ in _generator_layout(n, i)) for i in range(1, k + 1)
+    ]
     near, far = generator_pairs(k)
     kinds = {
         "each": [(i,) for i in range(k)],
@@ -526,22 +496,16 @@ def _verify_plan(n: int, layouts: tuple[tuple[int, ...], ...]) -> tuple:
     }
     blocks = {}
     for kind, members in kinds.items():
-        same = {}
-        for member in members:
-            masks = sum((layouts[i] for i in member), ())
-            same.setdefault(_signature(masks), []).append(member)
         found = []
-        for group in same.values():
-            for start in range(0, len(group), cap):
-                block = []
-                for operands in zip(*group[start : start + cap]):
-                    rows = np.array([where[i][1] for i in operands])
-                    rows.flags.writeable = False
-                    keys = tuple(zip(*(layouts[i] for i in operands)))
-                    block.append((where[operands[0]][0], rows, keys))
-                found.append(tuple(block))
+        for start in range(0, len(members), cap):
+            block = []
+            for operands in zip(*members[start : start + cap]):
+                rows = np.array(operands)
+                rows.flags.writeable = False
+                block.append((rows, tuple(zip(*(layouts[i] for i in operands)))))
+            found.append(tuple(block))
         blocks[kind] = tuple(found)
-    return tuple(map(tuple, runs.values())), blocks
+    return blocks
 
 
 def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyReport:
@@ -556,12 +520,10 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     from those same slots, as in braid_generator_matrix. No dense matrix is
     formed and nothing is sorted.
 
-    Each slot of the generators is stacked once per call into one source
-    array per run of _verify_plan (U_1 alone, then U_2 .. U_{n+1}, which
-    have a flip slot), and rho_i and rho_i^-1 are formed once per run on
-    those plain arrays, the identity on the diagonal slot, which
-    _generator_layout puts first. Each relation row groups its operand
-    tuples by joint slot signature, cuts each group into blocks of at most
+    Each slot of U_1 .. U_{n+1} is stacked once per call into one source
+    array, and rho_i and rho_i^-1 are formed once on those plain arrays,
+    the identity on the diagonal slot, which _generator_layout puts first.
+    Each relation row cuts its operand tuples into blocks of at most
     _BLOCK_BYTES per slot array (5 members at n = 12), takes each operand's
     rows from its source with the cached plan's indices and slot keys, and
     evaluates the matrix expression a dense check would use on whole
@@ -571,7 +533,7 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     maximum, under glibc's 128 KiB mmap threshold, so memory is reused
     rather than faulted in afresh, and far under numpy's 256 KiB temporary
     elision, which would swap the operands of a complex multiply and
-    change the last bits of a residual. A source may exceed the cap (72 KiB
+    change the last bits of a residual. A source may exceed the cap (77 KiB
     at n = 12), since it is never an operand of a product: it is built by
     stacking, scaled and added elementwise, and read by take, and it still
     stays under both thresholds. The worst residual of a block is taken
@@ -579,15 +541,19 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
     pass at delta = +-golden ratio with a compatible phase; a generic delta
     fails the U_i U_(i+-1) U_i = U_i row, which is the point of running it
     as a negative control.
-    Raises ValueError when n is outside 1..MATRIX_MAX_N or tol is
-    negative or not finite.
+    Raises ValueError when n is outside 1..MATRIX_MAX_N, tol is negative
+    or not finite, or a generator's slot masks are not its layout's.
     """
     if not 1 <= n <= MATRIX_MAX_N:
         raise ValueError(f"matrices support 1 <= n <= {MATRIX_MAX_N}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     gens = [_generator_slots(n, i, params) for i in range(1, n + 2)]
-    runs, blocks = _verify_plan(n, tuple(tuple(g) for g in gens))
+    for i, slots in enumerate(gens, 1):
+        masks = tuple(mask for mask, _ in _generator_layout(n, i))
+        if tuple(slots) != masks:
+            raise ValueError(f"U_{i} has slot masks {tuple(slots)}, not {masks}")
+    blocks = _verify_plan(n)
     width = fib_dim(n) + 1
     lam = params.lam  # A^-1, as A is on the unit circle
     dlt = params.delta
@@ -601,15 +567,12 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
         key = next(iter(block.slots))  # the diagonal slot: every mask 0
         return _Sparse(n, {key: identity(len(key))})
 
-    us, rhos, rho_invs = [], [], []  # per run, the source of each slot
-    for run in runs:
-        u = [np.stack(values) for values in zip(*(gens[i].values() for i in run))]
-        ones = identity(len(run))
-        us.append(u)
-        rhos.append([lam.conjugate() * ones + lam * u[0], *(lam * v for v in u[1:])])
-        rho_invs.append(
-            [lam * ones + lam.conjugate() * u[0], *(lam.conjugate() * v for v in u[1:])]
-        )
+    # one source per slot: the diagonal, then the center flip
+    diag, flip = (np.stack(values) for values in zip(*(g.values() for g in gens)))
+    ones = identity(n + 1)
+    us = (diag, flip)
+    rhos = (lam.conjugate() * ones + lam * diag, lam * flip)
+    rho_invs = (lam * ones + lam.conjugate() * diag, lam.conjugate() * flip)
     relations = (
         ("U_i^2 = delta U_i", "each", (us,), lambda u: u @ u - dlt * u),
         ("U_i U_j U_i = U_i (|i-j| = 1)", "near", (us, us), lambda a, b: a @ b @ a - a),
@@ -637,8 +600,8 @@ def verify_model(n: int, params: ModelParams, tol: float = 1e-10) -> VerifyRepor
             maxima = []
             for block in blocks[kind]:
                 operands = [
-                    _Sparse(n, {k: v.take(rows, axis=0) for k, v in zip(keys, family[g])})
-                    for family, (g, rows, keys) in zip(families, block)
+                    _Sparse(n, {k: v.take(rows, axis=0) for k, v in zip(keys, source)})
+                    for source, (rows, keys) in zip(families, block)
                 ]
                 slots = residual(*operands).slots.values()
                 maxima.append(np.abs(np.concatenate(tuple(slots))).max())

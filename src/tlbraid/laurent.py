@@ -13,6 +13,24 @@ import math
 import threading
 
 
+def _exact_sum(values: list[float]) -> float:
+    """The exact sum of values, rounded once to a double.
+
+    math.fsum rounds exactly so, but raises OverflowError on an overflowing
+    partial sum even when the exact sum fits; the same floats are then
+    summed as fractions. Raises OverflowError when the sum itself is past
+    the largest double.
+    """
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        # imported here: fractions pulls in decimal, some ms at every start
+        from fractions import Fraction
+
+        # int / int true division rounds correctly
+        return float(sum(map(Fraction, values)))
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
@@ -135,19 +153,21 @@ class LaurentPoly:
     def evaluate_phase(self, theta: float) -> complex:
         """Evaluate at A = e^(i*theta) on the unit circle.
 
-        The real and imaginary parts are each summed with math.fsum, so the
-        value depends only on the polynomial, not on its term order. Raises
-        ValueError when some theta*e is not finite or reaches 2^52 in
-        magnitude: doubles there are 1 rad or more apart, so no digit of the
-        value would mean anything. Raises ValueError too when a coefficient
-        or a partial sum is past the largest double.
+        The real and imaginary parts are each the exact sum of the terms'
+        floats, rounded once (see _exact_sum), so the value depends only on
+        the polynomial, not on its term order. Raises ValueError when some
+        theta*e is not finite or reaches 2^52 in magnitude: doubles there
+        are 1 rad or more apart, so no digit of the value would mean
+        anything. Raises ValueError too when a coefficient or an exact sum
+        is past the largest double.
         """
         if not all(abs(theta * e) < 2.0**52 for e in self._terms):
             raise ValueError(f"phase {theta!r} too large: |phase * exponent| >= 2^52")
         try:
             values = [c * cmath.exp(1j * theta * e) for e, c in self._terms.items()]
             return complex(
-                math.fsum(v.real for v in values), math.fsum(v.imag for v in values)
+                _exact_sum([v.real for v in values]),
+                _exact_sum([v.imag for v in values]),
             )
         except OverflowError:
             raise ValueError(f"value at phase {theta!r} overflows a double") from None

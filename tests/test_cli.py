@@ -414,6 +414,18 @@ def test_empty_phase_is_refused(argv):
     assert _run([*argv, "--phase", "3pi/5"])[0] == 0
 
 
+@pytest.mark.parametrize("argv", [["eval", *TREFOIL], ["fib-verify", "--n", "3"]])
+@pytest.mark.parametrize("text", [".pi", "+.pi", "-.pi"])
+def test_bare_dot_numerator_is_a_bad_phase(argv, text):
+    # a numerator with no digit is refused as any other unreadable phase
+    assert _run([*argv, f"--phase={text}"]) == (
+        2,
+        "",
+        f"error: bad phase '{text}': use radians or a pi literal\n",
+    )
+    assert _run([*argv, "--phase=.6pi"])[0] == 0
+
+
 @pytest.mark.parametrize("argv", _PARAMS_COMMANDS)
 def test_delta_sign_with_delta_is_refused(argv):
     # the two loop-value options are one mutually exclusive argparse group

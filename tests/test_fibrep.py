@@ -5,7 +5,6 @@ import dataclasses
 import math
 import random
 import warnings
-from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -220,14 +219,17 @@ def _dense_from_slots(n, slots):
 
 @pytest.mark.parametrize("delta", [PHI, -PHI, 1.5])
 def test_generator_slots_are_the_dense_matrix(delta):
-    # the diagonal slot first, then the center-bit flip, which U_1 lacks;
-    # every value with no column, the pad included, is an exact +0.0
+    # the diagonal slot first, then the center-bit flip; every value with
+    # no column, the pad included, is an exact +0.0, so U_1's flip slot,
+    # whose center is the left flank's P, is all +0.0
     params = make_params(delta)
     for n in range(1, MATRIX_MAX_N + 1):
         dim = fib_dim(n)
         for i in range(1, n + 2):
             slots = fibrep._generator_slots(n, i, params)
-            assert list(slots) == ([0] if i == 1 else [0, 1 << (n + 1 - i)])
+            assert list(slots) == [0, 1 << (n + 1 - i)]
+            if i == 1:
+                assert slots[1 << n].tobytes() == np.zeros(dim + 1).tobytes()
             dense = _dense_from_slots(n, slots)
             want = tl_generator_matrix(n, i, params)
             assert dense[:dim, :dim].tobytes() == want.tobytes(), (n, i)
@@ -479,15 +481,15 @@ def test_blocks_stay_under_the_slot_array_cap(monkeypatch):
     assert max(largest) == 5 * 378 * 16
 
 
-def test_blocks_follow_the_joint_signatures_alone():
-    # no cut of the generators splits a signature group further: each
-    # group of operand tuples fills ceil(group / cap) blocks
+def test_blocks_cut_each_kind_in_order():
+    # every U_i has the same two slots, so each kind of operand tuple is cut,
+    # in order, into ceil(len(kind) / cap) blocks
     counts = {}
     for n in range(1, MATRIX_MAX_N + 1):
-        layouts = tuple(
+        layouts = [
             tuple(mask for mask, _ in fibrep._generator_layout(n, i))
             for i in range(1, n + 2)
-        )
+        ]
         cap = 32 * 1024 // (16 * (fib_dim(n) + 1))
         k = n + 1
         near, far = generator_pairs(k)
@@ -498,20 +500,43 @@ def test_blocks_follow_the_joint_signatures_alone():
             "far": far,
             "next": [(i, i + 1) for i in range(k - 1)],
         }
-        runs, blocks = fibrep._verify_plan(n, layouts)
+        blocks = fibrep._verify_plan(n)
+        assert blocks.keys() == kinds.keys()
         for kind, members in kinds.items():
-            groups = Counter(
-                fibrep._signature(sum((layouts[i] for i in m), ())) for m in members
-            )
-            want = sum(-(-size // cap) for size in groups.values())
-            assert len(blocks[kind]) == want, (n, kind)
+            assert len(blocks[kind]) == -(-len(members) // cap), (n, kind)
             counts[kind] = len(blocks[kind])
-            for block in blocks[kind]:
-                for run, rows, keys in block:
+            cut = [members[s : s + cap] for s in range(0, len(members), cap)]
+            for block, tuples in zip(blocks[kind], cut):
+                for (rows, keys), operands in zip(block, zip(*tuples), strict=True):
                     assert not rows.flags.writeable
-                    taken = [layouts[runs[run][r]] for r in rows]
-                    assert keys == tuple(zip(*taken)), (n, kind)
-    assert counts == {"each": 4, "twice": 4, "near": 7, "far": 14, "next": 4}
+                    assert rows.tolist() == list(operands), (n, kind)
+                    assert keys == tuple(zip(*(layouts[i] for i in rows))), (n, kind)
+    assert counts == {"each": 3, "twice": 3, "near": 5, "far": 14, "next": 3}
+
+
+def test_generator_off_its_layout_is_refused(monkeypatch):
+    """A generator patched to a third slot, or to slots off its layout's
+    masks, makes verify_model raise rather than report on a truncated
+    stack."""
+    build = fibrep._generator_slots
+
+    def third(n, i, params):
+        slots = build(n, i, params)
+        if i == 3:
+            slots[3 << (n - 2)] = np.full_like(slots[0], 0.25)
+        return slots
+
+    def moved(n, i, params):
+        slots = build(n, i, params)
+        if i == 3:
+            slots = {0: slots[0], 3 << (n - 2): slots[1 << (n - 2)]}
+        return slots
+
+    for patch in (third, moved):
+        monkeypatch.setattr(fibrep, "_generator_slots", patch)
+        for n in (3, 7, MATRIX_MAX_N):
+            with pytest.raises(ValueError, match="U_3 has slot masks"):
+                verify_model(n, fibonacci_params())
 
 
 def _perturb_entries(monkeypatch, target, error):
@@ -589,66 +614,72 @@ def test_non_finite_entry_matches_per_pair_reference(monkeypatch, n, error):
     assert not report.passed
 
 
+def _sparse_of(n, slots):
+    """A _Sparse block of one from mask slots {mask: values}."""
+    return fibrep._Sparse(
+        n, {(mask,): values[None, :] for mask, values in slots.items()}
+    )
+
+
+def _dense_of(n, block):
+    """The dim-square matrix of a _Sparse block of one."""
+    slots = {mask: values for (mask,), (values,) in block.slots.items()}
+    dim = fib_dim(n)
+    return _dense_from_slots(n, slots)[:dim, :dim]
+
+
+def _sparse_products_match_dense(n, slots, target):
+    """U_target as patched in slots {i: mask slots}, against every other
+    U_j: a @ b @ a, a @ b - b @ a and a.T as _Sparse products and as dense
+    matmuls of the same matrices."""
+    a = _sparse_of(n, slots[target])
+    da = _dense_of(n, a)
+    assert np.array_equal(_dense_of(n, a.T), da.T)
+    for j in slots.keys() - {target}:
+        b = _sparse_of(n, slots[j])
+        db = _dense_of(n, b)
+        for got, want in (
+            (a @ b @ a, da @ db @ da),
+            (a @ b - b @ a, da @ db - db @ da),
+        ):
+            assert _maxabs(_dense_of(n, got) - want) <= 1e-14, (n, j)
+
+
 @pytest.mark.parametrize("delta", [PHI, 1.5])
-def test_entry_off_the_generator_masks_matches_dense_reference(monkeypatch, delta):
+def test_entry_off_the_generator_masks_matches_dense_reference(delta):
     """Move one off-diagonal entry of U_3 to a column whose state differs
     from its row's in two or more bits: a third mask, so a slot of a
     product sums three or more mask pairs."""
-    build = fibrep._generator_slots
-
-    def moved(n, i, params):
-        slots = build(n, i, params)
-        if i == 3:
-            states = fibrep._fib_states(n)
-            flip = max(slots)
-            row = np.flatnonzero(slots[flip])[0]
-            mask = next(
-                m for m in (int(states[row] ^ s) for s in states)
-                if bin(m).count("1") >= 2
-            )
-            values = slots[flip]
-            slots[mask] = np.zeros_like(values)
-            slots[mask][row], values[row] = values[row], 0.0
-        return slots
-
-    monkeypatch.setattr(fibrep, "_generator_slots", moved)
     params = make_params(delta)
     for n in (3, 4, 7):
-        report = verify_model(n, params)
-        expected = _dense_reference(n, params)
-        assert [(c.name, c.passed) for c in report.checks] == [
-            (name, passed) for name, _, passed in expected
-        ], n
-        for check, (_, residual, _) in zip(report.checks, expected):
-            assert abs(check.residual - residual) <= 1e-14, (n, check.name)
-        assert not report.passed
+        slots = {i: fibrep._generator_slots(n, i, params) for i in range(1, n + 2)}
+        moved = slots[3]
+        states = fibrep._fib_states(n)
+        flip = max(moved)
+        row = np.flatnonzero(moved[flip])[0]
+        mask = next(
+            m for m in (int(states[row] ^ s) for s in states)
+            if bin(m).count("1") >= 2
+        )
+        values = moved[flip]
+        moved[mask] = np.zeros_like(values)
+        moved[mask][row], values[row] = values[row], 0.0
+        _sparse_products_match_dense(n, slots, 3)
 
 
-def test_slot_on_both_center_flips_matches_dense_reference(monkeypatch):
+def test_slot_on_both_center_flips_matches_dense_reference():
     """Give U_3 a third slot, at the mask of U_2's and U_3's center flips
     together, with an entry in every row whose partner is a state. In
     U_3 U_2 U_3 that slot meets the product of the two flip slots, in
-    U_3 U_4 U_3 it meets none, so the two operand pairs must not share a
-    block."""
-    build = fibrep._generator_slots
-
-    def widened(n, i, params):
-        slots = build(n, i, params)
-        if i == 3:
-            flip = max(slots)
-            mask = flip | (flip << 1)
-            pick = fibrep._shift(n, mask)
-            slots[mask] = np.where(pick < len(pick) - 1, 0.25, 0.0)
-        return slots
-
-    monkeypatch.setattr(fibrep, "_generator_slots", widened)
+    U_3 U_4 U_3 it meets none."""
     params = fibonacci_params()
     for n in (3, 4, 7):
-        report = verify_model(n, params)
-        expected = _dense_reference(n, params)
-        for check, (name, residual, passed) in zip(report.checks, expected):
-            assert (check.name, check.passed) == (name, passed), n
-            assert abs(check.residual - residual) <= 1e-14, (n, name)
+        slots = {i: fibrep._generator_slots(n, i, params) for i in range(1, n + 2)}
+        flip = max(slots[3])
+        mask = flip | (flip << 1)
+        pick = fibrep._shift(n, mask)
+        slots[3][mask] = np.where(pick < len(pick) - 1, 0.25, 0.0)
+        _sparse_products_match_dense(n, slots, 3)
 
 
 def test_verify_model_builds_each_generator_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Exact Laurent polynomial arithmetic, rendering and evaluation."""
 
 import random
+import sys
 
 import pytest
 
@@ -142,6 +143,20 @@ def test_evaluate_phase_refuses_a_value_past_the_largest_double():
         with pytest.raises(ValueError, match="overflows a double"):
             LaurentPoly(terms).evaluate_phase(0.0)
     assert LaurentPoly({0: 2**1023, 2: -1}).evaluate_phase(0.0) == 2.0**1023
+
+
+def test_evaluate_phase_keeps_a_value_whose_partial_sums_overflow():
+    # math.fsum overflows on 2^1023 + 2^1023 before the third term brings the
+    # sum back; the exact sum of the same floats is kept and rounded once
+    big = 2**1023
+    assert LaurentPoly({0: big, 2: big, 4: -big}).evaluate_phase(0.0) == 2.0**1023
+    back = LaurentPoly({0: big, 2: big, 4: -big, 6: -big, 8: 1})
+    assert back.evaluate_phase(0.0) == 1.0
+    top = int(sys.float_info.max)
+    assert LaurentPoly({0: top, 2: top, 4: -top}).evaluate_phase(0.0) == float(top)
+    # an exact sum of 2^1024 is past the largest double, however it is summed
+    with pytest.raises(ValueError, match="overflows a double"):
+        LaurentPoly({0: big, 2: big, 4: big, 6: -big}).evaluate_phase(0.0)
 
 
 def test_evaluate_phase_is_multiplicative():
