@@ -18,7 +18,6 @@ from .bracket import (
     bracket_state_sum,
     bracket_via_tl,
     jones_polynomial,
-    normalized_bracket,
     writhe_normalize,
 )
 from .braid import parse_braid
@@ -88,14 +87,10 @@ def _fmt_complex(z: complex) -> str:
     return f"{re_part}{sign}{im_part}j"
 
 
-def _print_matrix(mat, complex_entries: bool):
-    fmt = _fmt_complex if complex_entries else _fmt_float
-    for row in mat:
-        print(" ".join(fmt(v) for v in row))
-
-
-def _matrix_json_entries(mat) -> list:
-    return [[float(v.real), float(v.imag)] for row in mat for v in row]
+def _emit(args, record: dict, lines) -> None:
+    """Print a command's record as strict JSON under --json, else its text
+    lines; a generator of lines is only run for the text."""
+    print(json.dumps(record, allow_nan=False) if args.json else "\n".join(lines))
 
 
 def _params_from_args(args):
@@ -107,27 +102,16 @@ def _params_from_args(args):
 
 def cmd_bracket(args) -> int:
     word = parse_braid(args.word, args.strands)
-    tl_poly = None
-    oracle_poly = None
     # the oracle first: it refuses a word past its letter cap before any work
-    if args.both or args.oracle:
-        oracle_poly = bracket_state_sum(word)
+    polys = [bracket_state_sum(word)] if args.both or args.oracle else []
     if args.both or not args.oracle:
-        tl_poly = bracket_via_tl(word)
-    poly = tl_poly if tl_poly is not None else oracle_poly
+        polys.append(bracket_via_tl(word))
+    poly = polys[-1]
     if args.normalized:
         poly = writhe_normalize(word, poly)
-    if args.json:
-        payload = {
-            "strands": word.strands,
-            "word": list(word.letters),
-            "variable": "A",
-            "terms": poly.to_json(),
-        }
-        print(json.dumps(payload))
-    else:
-        print(poly)
-    if args.both and tl_poly != oracle_poly:
+    record = {**word.to_json(), "variable": "A", "terms": poly.to_json()}
+    _emit(args, record, [str(poly)])
+    if polys[0] != polys[-1]:  # two routes ran only under --both
         print(
             "cross-check FAILED: state sum disagrees with the algebra trace",
             file=sys.stderr,
@@ -139,34 +123,20 @@ def cmd_bracket(args) -> int:
 def cmd_jones(args) -> int:
     word = parse_braid(args.word, args.strands)
     poly = jones_polynomial(word)
-    if args.json:
-        payload = {
-            "strands": word.strands,
-            "word": list(word.letters),
-            "variable": "q",
-            "terms": poly.to_json(),
-        }
-        print(json.dumps(payload))
-    else:
-        print(format_jones(poly))
+    record = {**word.to_json(), "variable": "q", "terms": poly.to_json()}
+    _emit(args, record, [format_jones(poly)])
     return 0
 
 
 def cmd_eval(args) -> int:
     word = parse_braid(args.word, args.strands)
     theta = parse_phase(args.phase)
-    poly = normalized_bracket(word) if args.normalized else bracket_via_tl(word)
+    poly = bracket_via_tl(word)
+    if args.normalized:
+        poly = writhe_normalize(word, poly)
     value = poly.evaluate_phase(theta)
-    if args.json:
-        payload = {
-            "strands": word.strands,
-            "word": list(word.letters),
-            "phase": theta,
-            "value": [value.real, value.imag],
-        }
-        print(json.dumps(payload))
-    else:
-        print(_fmt_complex(value))
+    record = {**word.to_json(), "phase": theta, "value": [value.real, value.imag]}
+    _emit(args, record, [_fmt_complex(value)])
     return 0
 
 
@@ -180,60 +150,54 @@ def cmd_dims(args) -> int:
 
 def cmd_fib_matrix(args) -> int:
     params = _params_from_args(args)
-    if args.braid:
-        mat = braid_generator_matrix(args.n, args.gen, params)
-        complex_entries = True
-    else:
-        mat = tl_generator_matrix(args.n, args.gen, params)
-        complex_entries = False
-    if args.json:
-        payload = {
-            "n": args.n,
-            "generator": args.gen,
-            "kind": "braid" if args.braid else "tl",
-            "dim": len(mat),
-            "entries": _matrix_json_entries(mat),
-        }
-        print(json.dumps(payload))
-    else:
-        _print_matrix(mat, complex_entries)
+    make = braid_generator_matrix if args.braid else tl_generator_matrix
+    # plain Python numbers format and list far faster than numpy scalars
+    rows = make(args.n, args.gen, params).tolist()
+    record = {
+        "n": args.n,
+        "generator": args.gen,
+        "kind": "braid" if args.braid else "tl",
+        "dim": len(rows),
+        "entries": [[v.real, v.imag] for row in rows for v in row],
+    }
+    fmt = _fmt_complex if args.braid else _fmt_float
+    _emit(args, record, (" ".join(fmt(v) for v in row) for row in rows))
     return 0
 
 
-def _print_report(report, as_json: bool) -> int:
+def _print_report(report, args) -> int:
     """Print a VerifyReport, as text or JSON; return its exit code.
 
     An exact report (tol None) shows exact or differs in the residual column.
     """
-    if as_json:
-        # strict JSON: a non-finite residual has no JSON number, so it is null
-        payload = {
-            "n": report.n,
-            "delta": report.delta,
-            "tol": report.tol,
-            "passed": report.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": c.residual if math.isfinite(c.residual) else None,
-                    "passed": c.passed,
-                }
-                for c in report.checks
-            ],
-        }
-        print(json.dumps(payload, allow_nan=False))
-        return 0 if report.passed else 1
     exact = report.tol is None
+    lines = []
     for c in report.checks:
         shown = ("exact" if c.passed else "differs") if exact else f"{c.residual:.3e}"
-        print(f"{c.name:<48} {shown:>12}  {'PASS' if c.passed else 'FAIL'}")
+        lines.append(f"{c.name:<48} {shown:>12}  {'PASS' if c.passed else 'FAIL'}")
     failed = sum(1 for c in report.checks if not c.passed)
     if exact:
-        print("some relations FAILED" if failed else "all relations hold exactly")
+        summary = "some relations FAILED" if failed else "all relations hold exactly"
     elif failed:
-        print(f"{failed} relation(s) FAILED at tol {report.tol:g}")
+        summary = f"{failed} relation(s) FAILED at tol {report.tol:g}"
     else:
-        print(f"all relations hold at tol {report.tol:g}")
+        summary = f"all relations hold at tol {report.tol:g}"
+    record = {
+        "n": report.n,
+        "delta": report.delta,
+        "tol": report.tol,
+        "passed": report.passed,
+        # a non-finite residual has no JSON number, so it is null
+        "checks": [
+            {
+                "name": c.name,
+                "residual": c.residual if math.isfinite(c.residual) else None,
+                "passed": c.passed,
+            }
+            for c in report.checks
+        ],
+    }
+    _emit(args, record, [*lines, summary])
     return 1 if failed else 0
 
 
@@ -241,11 +205,11 @@ def cmd_fib_verify(args) -> int:
     # without --tol, verify_model's own default applies
     tol = {} if args.tol is None else {"tol": args.tol}
     report = verify_model(args.n, _params_from_args(args), **tol)
-    return _print_report(report, args.json)
+    return _print_report(report, args)
 
 
 def cmd_verify(args) -> int:
-    return _print_report(verify_relations(args.n), args.json)
+    return _print_report(verify_relations(args.n), args)
 
 
 def _add_braid_args(sub):
@@ -338,16 +302,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    # main reports a stray option with the usage of the chosen command
-    for p in commands.choices.values():
+    # main reports a stray option with the usage of the chosen command, and
+    # writes "--opt -x" as "--opt=-x" where --opt takes a value in it
+    parser.value_options = {}
+    for name, p in commands.choices.items():
         p.set_defaults(parser=p)
+        parser.value_options[name] = frozenset(
+            opt for opt, a in p._option_string_actions.items() if a.nargs is None
+        )
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a value such as -pi/2, -1,-2 or -1e-3 as an option
+    # unless "=" ties it to the option it follows
+    argv = sys.argv[1:] if argv is None else argv
+    takes_value = parser.value_options.get(argv[0], ()) if argv else ()
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in takes_value and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args, stray = parser.parse_known_args(argv)
+        args, stray = parser.parse_known_args(joined)
         if stray:
             args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:

@@ -438,12 +438,6 @@ class _Sparse:
     def __rmul__(self, scalar) -> "_Sparse":
         return _Sparse(self.n, {m: scalar * v for m, v in self.slots.items()})
 
-    def __add__(self, other: "_Sparse") -> "_Sparse":
-        slots = dict(self.slots)
-        for m, v in other.slots.items():
-            slots[m] = slots[m] + v if m in slots else v
-        return _Sparse(self.n, slots)
-
     def __sub__(self, other: "_Sparse") -> "_Sparse":
         slots = dict(self.slots)
         for m, v in other.slots.items():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -134,6 +135,42 @@ def test_jones_json_payload():
     assert payload["terms"] == [[16, "-1"], [12, "1"], [4, "1"]]
 
 
+@pytest.mark.parametrize(
+    "argv, record",
+    [
+        (
+            ["bracket", *TREFOIL, "--json"],
+            '{"strands": 2, "word": [1, 1, 1], "variable": "A", '
+            '"terms": [[5, "-1"], [-3, "-1"], [-7, "1"]]}',
+        ),
+        (
+            ["jones", *TREFOIL, "--json"],
+            '{"strands": 2, "word": [1, 1, 1], "variable": "q", '
+            '"terms": [[16, "-1"], [12, "1"], [4, "1"]]}',
+        ),
+        (
+            ["eval", *TREFOIL, "--phase", "0", "--json"],
+            '{"strands": 2, "word": [1, 1, 1], "phase": 0.0, "value": [-1.0, 0.0]}',
+        ),
+        (
+            ["eval", *TREFOIL, "--phase", "0", "--normalized", "--json"],
+            '{"strands": 2, "word": [1, 1, 1], "phase": 0.0, "value": [1.0, 0.0]}',
+        ),
+        (
+            ["fib-matrix", "--n", "1", "--gen", "2", "--json"],
+            '{"n": 1, "generator": 2, "kind": "tl", "dim": 2, "entries": '
+            "[[1.0, 0.0], [0.7861513777574233, 0.0], [0.7861513777574233, 0.0], "
+            "[0.6180339887498948, 0.0]]}",
+        ),
+    ],
+    ids=["bracket", "jones", "eval", "eval-normalized", "fib-matrix"],
+)
+def test_json_record_bytes(argv, record):
+    # key order is each record's contract; these values are integers or come
+    # from sqrt and division alone, so every libm gives the same bits
+    assert _run(argv) == (0, record + "\n", "")
+
+
 def test_eval_unknot_normalized_is_one():
     code, out, _ = _run(
         ["eval", "--strands", "2", "--word", "1", "--phase", "3pi/5", "--normalized"]
@@ -152,6 +189,25 @@ def test_eval_json_matches_text():
     code, text, _ = _run(args)
     assert code == 0
     assert complex(text.strip()) == pytest.approx(value, abs=1e-9)
+
+
+def test_eval_normalized_is_the_library_normalized_bracket():
+    rng = random.Random(0)
+    for _ in range(40):
+        strands = rng.randint(2, 4)
+        letters = tuple(
+            rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(0, 9))
+        )
+        theta = rng.uniform(-7.0, 7.0)
+        word = " ".join(map(str, letters))
+        code, out, _ = _run(
+            ["eval", "--strands", str(strands), "--word", word,
+             f"--phase={theta!r}", "--normalized", "--json"]
+        )
+        want = normalized_bracket(BraidWord(strands, letters)).evaluate_phase(theta)
+        assert code == 0, (strands, word)
+        assert json.loads(out)["value"] == [want.real, want.imag], (strands, word)
 
 
 def test_dims_table():
@@ -426,6 +482,65 @@ def test_bare_dot_numerator_is_a_bad_phase(argv, text):
     assert _run([*argv, "--phase=.6pi"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", *TREFOIL, "--phase"],
+        ["eval", *TREFOIL, "--normalized", "--json", "--phase"],
+        ["fib-verify", "--n", "3", "--phase"],
+        ["fib-matrix", "--n", "2", "--gen", "1", "--braid", "--phase"],
+    ],
+)
+@pytest.mark.parametrize("value", ["-pi/2", "-3pi/5", "-0.5", "-.5"])
+def test_negative_phase_after_a_space(argv, value):
+    # argparse alone reads -pi/2 as an option; main joins it to --phase
+    spaced = _run([*argv, value])
+    assert spaced == _run([*argv[:-1], f"--phase={value}"])
+    assert spaced[0] != 2 and spaced[1]
+
+
+@pytest.mark.parametrize("command", [["bracket"], ["jones"], ["eval", "--phase=pi/5"]])
+def test_negative_word_after_a_space(command):
+    argv = [*command, "--strands", "3"]
+    spaced = _run([*argv, "--word", "-1,-2"])
+    assert spaced == _run([*argv, "--word=-1,-2"])
+    assert spaced == _run([*argv, "--word", "-1 -2"])
+    assert spaced[0] == 0 and spaced[1]
+
+
+def test_negative_loop_value_and_tolerance_after_a_space():
+    spaced = _run(["fib-verify", "--n", "3", "--delta", "-1e5"])
+    assert spaced == _run(["fib-verify", "--n", "3", "--delta=-1e5"])
+    assert spaced[0] == 1
+    assert _run(["fib-verify", "--n", "3", "--tol", "-1e-3"]) == (
+        2, "", "error: tol must be finite and >= 0, got -0.001\n"
+    )
+    assert _run(["fib-matrix", "--n", "2", "--gen", "1", "--delta", "-inf"]) == (
+        2, "", "error: delta must be finite, got -inf\n"
+    )
+
+
+def test_only_a_value_option_of_the_command_takes_a_dash_value():
+    for argv, message in (
+        (
+            ["eval", *TREFOIL, "--phase", "--json"],
+            "argument --phase: expected one argument",
+        ),
+        (
+            ["eval", *TREFOIL, "--phase", "0", "--json", "-1"],
+            "unrecognized arguments: -1",
+        ),
+        (
+            ["fib-matrix", "--n", "1", "--gen", "1", "--tol", "-1e-3"],
+            "unrecognized arguments: --tol -1e-3",
+        ),
+    ):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"usage: tlbraid {argv[0]} "), argv
+        assert err.endswith(f"tlbraid {argv[0]}: error: {message}\n"), argv
+
+
 @pytest.mark.parametrize("argv", _PARAMS_COMMANDS)
 def test_delta_sign_with_delta_is_refused(argv):
     # the two loop-value options are one mutually exclusive argparse group
@@ -565,13 +680,15 @@ def test_eval_refuses_a_phase_past_float_resolution():
     assert (code, err) == (0, "")
 
 
-@pytest.mark.parametrize("route", ["bracket_via_tl", "normalized_bracket"])
+@pytest.mark.parametrize(
+    "extra", [[], ["--normalized"]], ids=["bracket_via_tl", "normalized"]
+)
 @pytest.mark.parametrize("terms", [{0: 2**1244, 4: -1}, {0: 2**1023, 2: 2**1023}])
-def test_eval_refuses_a_value_past_the_largest_double(monkeypatch, route, terms):
+def test_eval_refuses_a_value_past_the_largest_double(monkeypatch, extra, terms):
     # the bracket of "1 -2" repeated 900 times on 3 strands has a 1244-bit
-    # coefficient; a stand-in polynomial keeps the test fast
-    monkeypatch.setattr(cli_module, route, lambda word: LaurentPoly(terms))
-    extra = ["--normalized"] if route == "normalized_bracket" else []
+    # coefficient; a stand-in polynomial keeps the test fast, and the
+    # monomial factor of --normalized keeps the coefficients' size
+    monkeypatch.setattr(cli_module, "bracket_via_tl", lambda word: LaurentPoly(terms))
     for json_flag in ([], ["--json"]):
         code, out, err = _run(["eval", *TREFOIL, "--phase", "0", *extra, *json_flag])
         assert (code, out) == (2, "")
@@ -608,9 +725,7 @@ def test_strand_cap_rejects_before_any_work(monkeypatch):
     def no_work(word):
         raise AssertionError("a bracket route ran past the strand cap")
 
-    for name in (
-        "bracket_via_tl", "bracket_state_sum", "jones_polynomial", "normalized_bracket"
-    ):
+    for name in ("bracket_via_tl", "bracket_state_sum", "jones_polynomial"):
         monkeypatch.setattr(cli_module, name, no_work)
     strands = str(BRAID_MAX_STRANDS + 1)
     for argv in (
@@ -619,6 +734,7 @@ def test_strand_cap_rejects_before_any_work(monkeypatch):
         ["bracket", "--strands", "3000", "--word", "1", "--both"],
         ["jones", "--strands", "3000", "--word", "1"],
         ["eval", "--strands", "3000", "--word", "", "--phase", "pi/5"],
+        ["eval", "--strands", "3000", "--word", "", "--phase", "0", "--normalized"],
     ):
         code, out, err = _run(argv)
         assert (code, out) == (2, ""), argv
