@@ -303,14 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     # main reports a stray option with the usage of the chosen command, and
-    # writes "--opt -x" as "--opt=-x" where --opt takes a value in it
+    # writes "--opt -x" as "--opt=-x" where --opt, or the one option it
+    # abbreviates, takes a value in it
     parser.value_options = {}
     for name, p in commands.choices.items():
         p.set_defaults(parser=p)
-        parser.value_options[name] = frozenset(
-            opt for opt, a in p._option_string_actions.items() if a.nargs is None
-        )
+        parser.value_options[name] = {
+            opt: a.nargs is None for opt, a in p._option_string_actions.items()
+        }
     return parser
+
+
+def _value_option(arg: str, options: dict[str, bool]) -> str | None:
+    """The option that takes a value and that arg names, in full or, as
+    argparse reads it, by a prefix of one option only; else None."""
+    if arg not in options and arg[:2] == "--":
+        found = [opt for opt in options if opt.startswith(arg)]
+        arg = found[0] if len(found) == 1 else None
+    return arg if options.get(arg) else None
 
 
 def main(argv=None) -> int:
@@ -318,11 +328,13 @@ def main(argv=None) -> int:
     # argparse reads a value such as -pi/2, -1,-2 or -1e-3 as an option
     # unless "=" ties it to the option it follows
     argv = sys.argv[1:] if argv is None else argv
-    takes_value = parser.value_options.get(argv[0], ()) if argv else ()
+    options = parser.value_options.get(argv[0], {}) if argv else {}
     joined = []
     for arg in argv:
-        if joined and joined[-1] in takes_value and arg[:1] == "-" and arg[:2] != "--":
-            joined[-1] += "=" + arg
+        dash = arg[:1] == "-" and arg[:2] != "--"
+        option = dash and joined and _value_option(joined[-1], options)
+        if option:
+            joined[-1] = f"{option}={arg}"
         else:
             joined.append(arg)
     try:

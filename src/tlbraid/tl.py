@@ -10,23 +10,25 @@ Braid words take a fused path. Diagrams of each size are interned as ints
 in a lazily filled table that memoizes the right action of every U_i, and
 a word is one pass of updates to a state {diagram id: packed int}. Each
 diagram's Laurent coefficient is packed into one Python int by Kronecker
-substitution: the polynomial is evaluated at 2^B, one B-bit slot per
-exponent. A letter follows the twist rule: a diagram with a cap at i traps
-a loop under U_i, so the letter multiplies it in place by the monomial
--A^(-+3), and only the other diagrams are split into two copies. The
-state's L1 norm therefore at most doubles per letter, to 2^L after L
-letters, and the Markov trace's loop powers delta^(l - 1), l <= n, add at
-most n - 1 bits, so B = L + n + 1 bits on n strands hold every coefficient
-of the state and of its trace. Each weight is a left shift of 0, 1 or 2
-slots, and the work runs in C on exact integers. A letter runs as a loop
-over a sparse state; once the state holds half of all Catalan(n) diagrams
-and the table knows them all, it is zero-filled and each letter runs as a
-few bulk C-level updates planned once per generator. rep_braid_word
-unpacks every diagram into a TLElement; trace_braid_word adds the packed
-ints per closure loop count, closes the sums by Horner's rule in delta in
-packed form and unpacks once. A packed int holds (2L + 1) * B bits, so the
-state is capped both in diagrams (STATE_MAX_DIAGRAMS) and in bits
-(STATE_MAX_BITS), and a word whose worst-case work exceeds WORD_MAX_WORK is
+substitution, one B-bit slot per power of A^4: by Kauffman's mod-4
+property, its exponents share one class mod 4, set by the word's writhe
+and the parity of the diagram's closure loops. A letter follows the twist
+rule: a diagram with a cap at i traps a loop under U_i, so the letter
+multiplies it in place by the monomial -A^(-+3), and only the other
+diagrams are split into two copies. The state's L1 norm at most doubles
+per letter, to 2^L after L letters, and the trace's loop powers
+delta^(l - 1), l <= n, add at most n - 1 bits, so B = L + n + 1 bits on n
+strands hold every coefficient of the state and of its trace. Each weight
+is a left shift of 0 or 1 slots, and the work runs in C on exact
+integers. A letter runs as a loop over a sparse state; once the state
+holds half of all Catalan(n) diagrams and the table knows them all, it is
+zero-filled and each letter runs as a few bulk C-level updates planned
+once per generator. rep_braid_word unpacks every diagram into a
+TLElement; trace_braid_word adds the packed ints per closure loop count,
+closes the sums by Horner's rule in delta in packed form and unpacks once.
+The state is capped in diagrams (STATE_MAX_DIAGRAMS) and in bits
+(STATE_MAX_BITS, counting (2L + 1) * B, about twice the L + 1 slots of a
+packed int), and a word whose worst-case work exceeds WORD_MAX_WORK is
 refused before its first letter. The general TLElement product and
 markov_trace serve the exact relation suite, verify_relations, which
 reports in the VerifyReport shape that fibrep's numeric suite shares.
@@ -71,21 +73,21 @@ ENUMERATION_MAX_N = 12
 # Catalan(12): the braid-word state may hold no more diagrams than there are
 # on the largest size enumerate_pairings supports.
 STATE_MAX_DIAGRAMS = _catalan(ENUMERATION_MAX_N)
-# Bits of packed coefficients the state may hold: diagrams times the slot
-# bits of one packed polynomial, (2L + 1) * (L + n + 1) for L letters on n
-# strands. The state's measured peak memory is about 0.9x this count (7
-# strands, 400 random letters: 17.5 MB counted, 15.8 MB peak), so 2^30 bits
-# bound it near 128 MiB. The benchmark's widest words count about 1.2M bits.
+# Bits the state may hold, counted as diagrams times (2L + 1) * (L + n + 1)
+# for L letters on n strands, about twice its L + 1 slots per diagram. Its
+# measured peak memory is about 0.46x this count (7 strands, 400 random
+# letters: 17.5 MB counted, 8.1 MB peak), so 2^30 bits bound it near 64 MiB.
+# The benchmark's widest words count about 1.2M bits.
 STATE_MAX_BITS = 1 << 30
-# A word's worst-case work: letters times the bits of one packed polynomial
+# A word's worst-case work: letters times the counted bits of one diagram
 # times the most diagrams its state may hold (the dimension of the TL
 # subalgebra its generators span, capped as above).
 # Each letter shifts and adds every diagram's int once or twice, so run time
 # grows with this count. At 2^40 the slowest admitted words measured take
-# about a minute (2-vCPU VM, Python 3.11): 67-77 s for sigma_1^6500 on 2
-# strands and 64 s for (1 -2)^2394 on 3; random words at the budget took
-# 29-41 s on 5, 7 and 12 strands (the last on generators 1-6, with its state
-# near the bit cap).
+# under half a minute (2-vCPU VM, Python 3.11): 27 s for sigma_1^6500 on 2
+# strands and 15 s for (1 -2)^2394 on 3; random words at the budget took
+# 9-11 s on 5, 7 and 12 strands (the last on generators 1-6, its state near
+# the bit cap).
 WORD_MAX_WORK = 1 << 40
 
 
@@ -414,52 +416,57 @@ class _LetterPlan:
     """U_i's action on a state that holds every diagram, as bulk updates.
 
     Every image d*U_i is capped for U_i (d*U_i*U_i = delta*d*U_i), so the
-    uncapped diagrams only send and the capped ones only receive. capped
-    lists the capped ids, those with the most uncapped sources first; the
-    j-th column gathers the j-th source of each of the first len(column)
-    of them, so a target of k sources costs k - 1 additions. zeros pads
-    the sums of the capped ids without a source.
+    uncapped diagrams only send and the capped ones only receive. Each
+    capped t has a source, t*U_(i+-1) (on 2 strands the identity), and all
+    of parity 1 - h(t) (see _word_state). parts holds (targets, columns, h)
+    per parity, targets with the most sources first; the j-th column
+    gathers the j-th source of each of the first len(column) targets, so a
+    target of k sources costs k - 1 additions.
     """
 
     def __init__(self, table: _DiagramTable, i: int):
         act = table.act[i - 1]
+        n = len(table.act) + 1
         sources: dict[int, list[int]] = {}
-        capped, uncapped = [], []
+        capped, self.uncapped = [], []
         for d in range(table.catalan):
             target, loops = act[d] or table.fill(i, d)
             if loops:
                 capped.append(d)
             else:
-                uncapped.append(d)
+                self.uncapped.append(d)
                 sources.setdefault(target, []).append(d)
-        capped.sort(key=lambda t: -len(sources.get(t, ())))
-        self.capped = capped
-        self.uncapped = uncapped
-        self.columns = [
-            [sources[t][j] for t in capped if len(sources.get(t, ())) > j]
-            for j in range(max(map(len, sources.values())))
-        ]
-        self.zeros = [0] * (len(capped) - len(self.columns[0]))
+        capped.sort(key=lambda t: -len(sources[t]))
+        self.parts = []
+        for h in (0, 1):
+            targets = [t for t in capped if (n - table.closure[t]) & 1 == h]
+            if targets:
+                first, *rest = [
+                    [sources[t][j] for t in targets if len(sources[t]) > j]
+                    for j in range(len(sources[targets[0]]))
+                ]
+                self.parts.append((targets, first, rest, h))
 
     def apply(self, state: dict[int, int], width: int, positive: bool) -> None:
         """One letter, in place, with the weights of _word_state."""
         get = state.__getitem__
-        first, *rest = self.columns
-        moved = list(map(get, first))
-        for column in rest:
-            moved[: len(column)] = map(add, moved, map(get, column))
-        moved += self.zeros
-        moved = map(lshift, moved, repeat(width))
-        # each old value is read just before its key is written, so no
-        # letter holds two copies of the state
-        capped = map(get, self.capped)
-        if positive:  # (moved << B) - (x << 2B); uncapped x stay
-            kept = map(lshift, capped, repeat(2 * width))
-            state.update(zip(self.capped, map(sub, moved, kept)))
-        else:  # (moved << B) - x; uncapped x become x << 2B
-            state.update(zip(self.capped, map(sub, moved, capped)))
-            uncapped = map(get, self.uncapped)
-            values = map(lshift, uncapped, repeat(2 * width))
+        for targets, first, rest, h in self.parts:
+            moved = list(map(get, first))
+            for column in rest:
+                moved[: len(column)] = map(add, moved, map(get, column))
+            # each old value is read just before its key is written, so no
+            # letter holds two copies of the state
+            capped = map(get, targets)
+            if positive and h:  # (moved - x) << B
+                values = map(lshift, map(sub, moved, capped), repeat(width))
+            elif positive:  # moved - (x << B)
+                values = map(sub, moved, map(lshift, capped, repeat(width)))
+            else:  # (moved << B when h = 1) - x
+                shifted = map(lshift, moved, repeat(width)) if h else moved
+                values = map(sub, shifted, capped)
+            state.update(zip(targets, values))
+        if not positive:  # uncapped x become x << B
+            values = map(lshift, map(get, self.uncapped), repeat(width))
             state.update(zip(self.uncapped, values))
 
 
@@ -473,20 +480,21 @@ def _word_state(
 
     Right-multiplies the identity by A^s*identity + A^-s*U_i for each
     letter s*i. A diagram's coefficient, a Laurent polynomial in A, is
-    packed into one int (Kronecker substitution): slot k, `width` B bits
-    wide, holds the coefficient of A^(top - 2k), where `top` is the
-    exponent of slot 0.
+    packed into one int (Kronecker substitution): slot k of diagram d,
+    `width` B bits wide, holds the coefficient of A^(top + 2h(d) - 4k),
+    with h(d) = (n - closure loops of d) mod 2; `top` rises by 1 for a
+    positive letter and by 3 for a negative one.
 
     The twist rule: a diagram d whose product with U_i traps a loop has
     d*U_i = delta*d with delta = -A^2 - A^-2, so the letter sends it to
     (A^s + A^-s*delta)*d = -A^(-3s)*d, one monomial in place. Only the
-    other diagrams send a copy, times A^-s, to d*U_i. Slot 0's exponent
-    rises by 1 for a positive letter and by 3 for a negative one, so each
-    weight is a left shift of 0, 1 or 2 slots: positive, a capped x becomes
-    -(x << 2B) and an uncapped x stays; negative, a capped x becomes -x and
-    an uncapped x becomes x << 2B; every uncapped x adds x << B at its
-    target. A letter moves a coefficient at most 2 slots, so the word's
-    state needs 2L + 1 slots for L letters.
+    other diagrams send a copy, times A^-s, to t = d*U_i; the closures of
+    d*1 and t differ by one smoothing, so by one loop, and h(t) = 1 - h(d).
+    This parity rule keeps d's exponents in the class of top + 2h(d) mod 4
+    and makes each weight a shift of 0 or 1 slots: positive, a capped x
+    becomes -(x << B) and an uncapped x stays; negative, a capped x becomes
+    -x and an uncapped x becomes x << B; each target t adds the sum of its
+    sources, shifted by B when h(t) = 1. L letters need L + 1 slots.
 
     Why B = L + n + 1 bits for n strands: a capped diagram gets a monomial
     factor, so its norm does not change, and an uncapped one is split into
@@ -529,8 +537,7 @@ def _word_state(
     may_densify = catalan <= max_diagrams
     dense = False
     state = {table.identity: 1}
-    double = 2 * width
-    top = 0  # exponent of slot 0; slot k holds A^(top - 2k)
+    top = 0  # slot k of diagram d holds A^(top + 2h(d) - 4k)
     for ell in letters:
         i = abs(ell)
         top += 1 if ell > 0 else 3
@@ -548,9 +555,9 @@ def _word_state(
         act = table.act[i - 1]
         moved: dict[int, int] = {}
         if ell > 0:
-            capped_shift, kept_shift = double, 0
+            capped_shift, kept_shift = width, 0
         else:
-            capped_shift, kept_shift = 0, double
+            capped_shift, kept_shift = 0, width
         for d, x in state.items():
             target, loops = act[d] or table.fill(i, d)
             if loops:
@@ -558,12 +565,13 @@ def _word_state(
                 continue
             if kept_shift:
                 state[d] = x << kept_shift
-            x <<= width
             if target in moved:
                 moved[target] += x
             else:
                 moved[target] = x
         for target, x in moved.items():
+            if (n - table.closure[target]) & 1:
+                x <<= width
             if target in state:
                 state[target] += x
             else:
@@ -577,7 +585,7 @@ def _word_state(
 
 def _unpacker(width: int, slots: int, top: int) -> Callable[[int], dict[int, int]]:
     """The function that unpacks a value of `slots` slots of `width` bits,
-    slot k holding the coefficient of A^(top - 2k), into {exponent: coefficient}."""
+    slot k holding the coefficient of A^(top - 4k), into {exponent: coefficient}."""
     # Slots are read low first from the value's two's complement bytes, as
     # balanced base-2^width digits: a digit of half or more is negative and
     # borrows one from the next slot. Memory stays near the value's own size.
@@ -597,7 +605,7 @@ def _unpacker(width: int, slots: int, top: int) -> Callable[[int], dict[int, int
             if borrow:
                 c -= mask + 1
             if c:
-                terms[top - 2 * k] = c
+                terms[top - 4 * k] = c
         return terms
 
     return unpack
@@ -626,11 +634,10 @@ def rep_braid_word(word: BraidWord) -> TLElement:
     outgrows its caps (see _word_state).
     """
     table, state, (width, top) = _word_state(word)
-    unpack = _unpacker(width, 2 * len(word.letters) + 1, top)
-    diagrams = table.diagrams
-    return TLElement(
-        word.strands, {diagrams[d]: LaurentPoly(unpack(x)) for d, x in state.items()}
-    )
+    n, closure, diagrams = word.strands, table.closure, table.diagrams
+    unpack = [_unpacker(width, len(word.letters) + 1, top + 2 * h) for h in (0, 1)]
+    terms = {d: unpack[(n - closure[d]) & 1](x) for d, x in state.items()}
+    return TLElement(n, {diagrams[d]: LaurentPoly(c) for d, c in terms.items()})
 
 
 def trace_braid_word(word: BraidWord) -> LaurentPoly:
@@ -638,9 +645,10 @@ def trace_braid_word(word: BraidWord) -> LaurentPoly:
 
     Packed coefficients are summed per closure loop count l, and the sums
     S_l are closed by Horner's rule in packed form: delta = A^2 * -(1 + A^-4),
-    so one factor of delta is -(x + (x << 2B)) with slot 0 moved up by A^2,
-    and S_l enters shifted by n - l slots to meet it. The result, 2L + 2n - 1
-    slots for n strands and L letters, is unpacked once.
+    so one factor of delta is -(x + (x << B)) with slot 0 moved up by A^2,
+    and S_l, whose slot 0 sits 2((n - l) mod 2) above `top`, enters shifted
+    by (n - l) // 2 slots to meet it. The result, L + n slots of A^4 for n
+    strands and L letters, is unpacked once.
     """
     table, state, (width, top) = _word_state(word)
     n = word.strands
@@ -649,9 +657,9 @@ def trace_braid_word(word: BraidWord) -> LaurentPoly:
     for d, x in state.items():
         by_loops[closure[d]] += x
     total = 0
-    for shift in range(n):  # S_n first, S_1 last
-        total = (by_loops.pop() << shift * width) - (total + (total << 2 * width))
-    slots = 2 * len(word.letters) + 2 * n - 1
+    for ell in range(n, 0, -1):  # S_n first, S_1 last
+        total = (by_loops[ell] << (n - ell) // 2 * width) - (total + (total << width))
+    slots = len(word.letters) + n
     return LaurentPoly(_unpacker(width, slots, top + 2 * (n - 1))(total))
 
 

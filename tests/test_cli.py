@@ -520,6 +520,23 @@ def test_negative_loop_value_and_tolerance_after_a_space():
     )
 
 
+def test_negative_value_after_a_prefix_of_its_option():
+    # argparse reads --ph as --phase and --w as --word, the one option of
+    # the command that each begins; main joins the value to it
+    argv = ["eval", "--strands", "2", "--word", "1"]
+    spaced = _run([*argv, "--ph", "-pi/2"])
+    assert spaced == _run([*argv, "--phase=-pi/2"])
+    assert spaced[0] == 0 and spaced[1]
+    spaced = _run(["bracket", "--strands", "3", "--w", "-1,-2", "--js"])
+    assert spaced == _run(["bracket", "--strands", "3", "--word=-1,-2", "--json"])
+    assert spaced[0] == 0 and spaced[1]
+    # --del begins both --delta and --delta-sign: argparse's own error stays
+    code, out, err = _run(["fib-verify", "--n", "3", "--del", "-1e5"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: tlbraid fib-verify ")
+    assert "error: ambiguous option: --del could match --delta-sign, --delta\n" in err
+
+
 def test_only_a_value_option_of_the_command_takes_a_dash_value():
     for argv, message in (
         (

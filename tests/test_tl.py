@@ -467,6 +467,41 @@ def _random_word(rng, n, length, signs=(1, -1)):
     )
 
 
+def test_a_letter_flips_the_closure_parity_of_each_product_it_does_not_trap():
+    # the parity rule of the engine's A^4 slots: d*U_i either traps a loop
+    # and is d itself, or its trace closure has one loop more or fewer than d's
+    for n in range(2, 9):
+        for i in range(1, n):
+            u = PlanarPairing.generator(n, i)
+            for d in enumerate_pairings(n):
+                product, loops = d.compose(u)
+                if loops:
+                    assert (loops, product) == (1, d), (i, d)
+                else:
+                    assert abs(product.closure_loops() - d.closure_loops()) == 1, (i, d)
+
+
+@st.composite
+def _short_words(draw):
+    n = draw(st.integers(2, 5))
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return BraidWord(n, tuple(draw(st.lists(letter, max_size=12))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_short_words())
+def test_each_coefficient_lies_in_one_class_mod_4(word):
+    # Kauffman's mod-4 property, on the general product: the exponents of
+    # diagram d's coefficient are writhe + 2 * ((n - closure loops) mod 2)
+    # mod 4, the class that the engine's A^4 slot layout assumes
+    n = word.strands
+    folded = _general_fold(word)
+    for d, coeff in folded.terms.items():
+        c = word.writhe() + 2 * ((n - d.closure_loops()) % 2)
+        assert all((e - c) % 4 == 0 for e in coeff.terms), (d, coeff)
+    assert rep_braid_word(word) == folded
+
+
 def test_fused_engine_matches_general_fold_past_oracle_cap():
     # Past the state-sum oracle's 24 letters, the general product is the
     # only other exact reference. The later words move the packed state in
@@ -643,7 +678,7 @@ def test_unpack_reads_balanced_slots_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert terms == {top - 2 * k: c for k, c in enumerate(coeffs) if c}
+    assert terms == {top - 4 * k: c for k, c in enumerate(coeffs) if c}
     # a binary string of the value, one byte per bit, would be 8x alone
     assert peak <= 4 * size, peak / size
 
