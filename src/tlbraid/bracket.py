@@ -4,11 +4,13 @@ The production path rewrites the braid word in the Temperley-Lieb algebra
 and closes it with the Markov trace, in one pass of the fused state-vector
 engine of tl.trace_braid_word. The oracle path enumerates all 2^N
 crossing smoothings of the closed diagram (Kauffman's state model) and
-counts each state's loops directly: the 2N arcs between crossings are
-vertices, each smoothing joins them in pairs, and the loops are the
-connected components plus the strand positions no crossing touches. It
-never touches the diagram algebra, so agreement between the two is a real
-cross-check rather than a tautology.
+counts each state's loops directly, sweeping a horizontal cut down the
+diagram: a state labels only the arcs the cut meets and each strand
+position's top arc, counts a loop whenever a join meets two ends of one
+path, and closes each position's arc onto its top arc after the position's
+last crossing. Strand positions no crossing touches are loops of their own.
+It never touches the diagram algebra, so agreement between the two is a
+real cross-check rather than a tautology.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord
-from .laurent import LaurentPoly, delta, delta_power, jones_substitute
+from .laurent import LaurentPoly, delta_power, jones_substitute
 from .tl import trace_braid_word
 
 STATE_SUM_MAX_LETTERS = 24
@@ -38,19 +40,27 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
     weight product times delta^(loops - 1). Use bracket_via_tl for words
     past the cap.
 
-    A state's loops are counted as components of a graph on the 2N static
-    arcs: at each crossing the strand-preserving smoothing joins the NW arc
-    to the SW arc and NE to SE, the cup-cap smoothing joins NW to NE and SW
-    to SE. States are enumerated in numpy blocks that share the joins of a
-    common prefix of crossings. A block is held arc-major, one int8 label
-    row per live arc and one column per state, and each crossing forms both
-    of its smoothings in one (arcs, 2, states) array, so every numpy call
-    runs along the states. Each state also carries one int16 key that
-    encodes its A-exponent and its component count together, and the keys
-    of finished states are counted in one histogram. Every state keeps its
-    own column to the end -- states are never merged by connectivity, which
-    would turn the oracle into the transfer matrix of the TL route. The
-    histogram is summed by Horner's rule in delta over the loop counts.
+    The crossings are read top to bottom. Each of the t touched strand
+    positions has two int8 label rows, one for the arc now at that
+    position and one for its top arc, which the closure joins to the
+    position's last arc; both start with the position's own label. The
+    strand-preserving smoothing leaves the rows as they are. The cup-cap
+    smoothing joins the two arcs above the crossing, closing a loop when
+    their labels are equal and otherwise relabelling one path to the other,
+    and gives both arcs below it the fresh label t + c. After a position's
+    last crossing its two rows are joined the same way and dropped. Rows
+    are ordered by last crossing, latest first, so the rows still read are
+    always a prefix of the block.
+
+    States are enumerated depth first in numpy blocks of at most
+    _STATE_SUM_BLOCK_ROWS columns that share a common prefix of crossings,
+    one column per state, so every numpy call runs along the states. Each
+    state also carries one int16 key, (exponent + N) * (t + N + 1) +
+    loops, and the keys of finished states are counted in one histogram.
+    Every state keeps its own column to the end -- states are never merged
+    by connectivity, which would turn the oracle into the transfer matrix
+    of the TL route. The histogram is summed by Horner's rule in delta over
+    the loop counts.
     """
     n, letters = word.strands, word.letters
     num = len(letters)
@@ -62,82 +72,69 @@ def bracket_state_sum(word: BraidWord) -> LaurentPoly:
     if num == 0:
         return delta_power(n - 1)
 
-    # Ports 4c..4c+3 are crossing c's NW, NE, SW, SE stubs. Static arc k
-    # joins a crossing's bottom stub to the next top stub at the same strand
-    # position, wrapping bottom-to-top through the closure; positions no
-    # crossing touches are standalone circles in every state.
-    touched: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    last = {}  # strand position -> its last crossing
+    for c, ell in enumerate(letters):
+        last[abs(ell) - 1] = last[abs(ell)] = c
+    order = sorted(last, key=last.__getitem__, reverse=True)
+    row = {p: 2 * i for i, p in enumerate(order)}  # its arc's row; +1 top arc
+    t = len(order)
+    # Labels stay below t + N <= 72 and a state closes at most one loop per
+    # join, N cup-caps and t closures, so keys stay below
+    # (2N + 1) * (t + N + 1) <= 49 * 73.
+    stride = t + num + 1
+    steps = []
     for c, ell in enumerate(letters):
         a = abs(ell) - 1
-        touched[a].append((c, 0))
-        touched[a + 1].append((c, 1))
-    free_loops = sum(1 for events in touched if not events)
-    arc = [0] * (4 * num)
-    arcs = 0
-    for events in touched:
-        for (c1, s1), (c2, s2) in zip(events, events[1:] + events[:1]):
-            arc[4 * c1 + 2 + s1] = arc[4 * c2 + s2] = arcs
-            arcs += 1
+        ends = sorted((row[p] for p in (a, a + 1) if last[p] == c), reverse=True)
+        live = 2 * sum(1 for p in order if last[p] > c)
+        steps.append((row[a], row[a + 1], stride if ell > 0 else -stride, ends, live))
 
     import numpy as np
 
-    # labels[i, s] is the component label of live arc i in state s; there
-    # are at most 2 * STATE_SUM_MAX_LETTERS = 48 arcs, so labels fit int8.
-    # Each state carries one int16 key, (exponent + num) * (arcs + 1) +
-    # components, at most 48 * 49 + 48 = 2400, for its A-exponent and its
-    # component count. An arc's row is dropped after the last crossing that
-    # touches it, since no later join reads its label.
-    last = [0] * arcs
-    for port, k in enumerate(arc):
-        last[k] = port // 4
-    live = list(range(arcs))
-    steps = []
-    # per smoothing, letter > 0: the A-exponent moves by +-1
-    shift = np.array([[arcs + 1], [-(arcs + 1)]], dtype=np.int16)
-    for c, ell in enumerate(letters):
-        row = {k: i for i, k in enumerate(live)}
-        nw, ne, sw, se = (row[k] for k in arc[4 * c : 4 * c + 4])
-        kept = [i for i, k in enumerate(live) if last[k] > c]
-        live = [live[i] for i in kept]
-        # smoothing 0 joins NW-SW then NE-SE, smoothing 1 NW-NE then SW-SE
-        ports = np.array([[nw, sw, ne, se], [nw, ne, sw, se]], dtype=np.intp)
-        kept = np.array(kept, dtype=np.intp)
-        steps.append((ports, shift if ell > 0 else -shift, kept))
-
-    hist = np.zeros((2 * num + 1) * (arcs + 1), dtype=np.int64)
-    labels = np.arange(arcs, dtype=np.int8)[:, None]
-    stack = [(0, labels, np.array([num * (arcs + 1) + arcs], dtype=np.int16))]
+    hist = np.zeros((2 * num + 1) * stride, dtype=np.int64)
+    labels = np.repeat(np.arange(t, dtype=np.int8), 2)[:, None]
+    stack = [(0, labels, np.array([num * stride], dtype=np.int16))]
     while stack:
         c, labels, keys = stack.pop()
-        ports, shifts, kept = steps[c]
-        # Joining arcs a and b relabels b's component with a's label; the
-        # second join reads its two labels as the first join left them.
-        ends = labels[ports]  # (smoothings, a b a b, states)
-        la, lb = ends[:, 0], ends[:, 1]
-        step = la - lb
-        ends[:, 2:] += (ends[:, 2:] == lb[:, None]) * step[:, None]
-        la2, lb2 = ends[:, 2], ends[:, 3]
-        keys = keys + shifts - (la != lb) - (la2 != lb2)
+        ra, rb, shift, ends, live = steps[c]
+        # the strand-preserving half is a copy; the cup-cap half joins the
+        # arcs above (relabelling b's path to a's) and labels those below
+        la, lb = labels[ra], labels[rb]
+        cup = labels + (labels == lb) * (la - lb)
+        cup[ra] = cup[rb] = t + c
+        labels = np.concatenate((labels, cup), axis=1)
+        keys = np.concatenate((keys + shift, keys - shift + (la == lb)))
+        for r in ends:  # close finished positions onto their top arcs, last
+            # rows first, so that head still holds the other's rows
+            x, y = labels[r], labels[r + 1]
+            keys += x == y
+            head = labels[:r]
+            head += (head == y) * (x - y)
         if c + 1 == num:
-            hist += np.bincount(keys.ravel(), minlength=hist.size)
+            hist += np.bincount(keys, minlength=hist.size)
             continue
-        both = labels[kept][:, None, :]  # (live arcs, smoothings, states)
-        both = both + (both == lb) * step
-        both += (both == lb2) * (la2 - lb2)
-        halves = [(both[:, j], keys[j]) for j in (0, 1)]
-        if 2 * keys.shape[1] <= _STATE_SUM_BLOCK_ROWS:
-            halves = [(both.reshape(len(kept), -1), keys.ravel())]
-        stack.extend((c + 1, *half) for half in halves)
+        labels, half = labels[:live], keys.size // 2
+        if keys.size <= _STATE_SUM_BLOCK_ROWS:
+            stack.append((c + 1, labels, keys))
+        else:
+            stack.append((c + 1, labels[:, :half], keys[:half]))
+            stack.append((c + 1, labels[:, half:], keys[half:]))
 
-    # Horner in delta over the component counts, one polynomial per count
-    counts = hist.reshape(2 * num + 1, arcs + 1)
+    # Every exponent is N mod 2, so row j of counts is A^(2j - N). Horner in
+    # delta = -A^2 - A^-2 over the loop counts, on int lists in steps of A^2:
+    # after d products by delta, index i holds A^(2i - N - 2d).
+    counts = hist.reshape(2 * num + 1, stride)[::2]
     used = np.flatnonzero(counts.any(axis=0)).tolist()
-    total, loop = LaurentPoly.zero(), delta()
-    for components in range(used[-1], used[0] - 1, -1):
-        column = counts[:, components].tolist()
-        poly = LaurentPoly({s - num: c for s, c in enumerate(column) if c})
-        total = total * loop + poly
-    return total * delta_power(free_loops + used[0] - 1)
+    lo, hi = used[0], used[-1]
+    columns = counts[:, lo : hi + 1].T.tolist()
+    total = columns.pop()
+    for depth, column in enumerate(reversed(columns), 1):
+        total = [-x - y for x, y in zip([0, 0] + total, total + [0, 0])]
+        for j, v in enumerate(column, depth):
+            total[j] += v
+    base = num + 2 * (hi - lo)
+    poly = LaurentPoly({2 * i - base: v for i, v in enumerate(total) if v})
+    return poly * delta_power(n - t + lo - 1)
 
 
 def bracket_via_tl(word: BraidWord) -> LaurentPoly:

@@ -1,8 +1,11 @@
 """Command-line interface: one binary, subcommands for each computation.
 
 Exit codes: 0 success, 1 a verification or cross-check failed, 2 usage or
-input errors (bad letters, out-of-range sizes, oracle cap). All output is
-deterministic: the same invocation always produces the same bytes.
+input errors (bad letters, out-of-range sizes, oracle cap). The `tlbraid`
+process, unlike main(argv) run in process, dies of SIGPIPE when a reader
+such as `head` closes its output early, as other filters do (status 141 in
+a shell). All output is deterministic: the same invocation always produces
+the same bytes.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import functools
 import json
 import math
 import re
+import signal
 import sys
 
 from .bracket import (
@@ -351,6 +355,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    if hasattr(signal, "SIGPIPE"):  # no traceback when `| head` stops reading
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -245,6 +245,48 @@ def test_oracle_matches_reference_walk_random():
         assert bracket_state_sum(w) == _reference_state_sum(w), w
 
 
+def _finishes_two_positions_early(word: BraidWord) -> bool:
+    """Whether a crossing before the last is the last on both its strand
+    positions."""
+    last = {}
+    for c, ell in enumerate(word.letters):
+        last[abs(ell) - 1] = last[abs(ell)] = c
+    return any(last[abs(ell) - 1] == last[abs(ell)] == c
+               for c, ell in enumerate(word.letters[:-1]))
+
+
+def _has_untouched_middle_position(word: BraidWord) -> bool:
+    touched = {p for ell in word.letters for p in (abs(ell) - 1, abs(ell))}
+    return len(touched) < max(touched, default=-1) - min(touched, default=0) + 1
+
+
+def test_oracle_matches_reference_walk_on_generator_subsets():
+    # words over a few generators leave strand positions between touched
+    # ones untouched, and let a crossing before the last finish both of its
+    # positions at once
+    rng = random.Random(909)
+    words = []
+    for _ in range(80):
+        n = rng.randint(2, 9)
+        gens = rng.sample(range(1, n), rng.randint(1, n - 1))
+        k = rng.randint(0, 12)
+        words.append(BraidWord(n, tuple(rng.choice((1, -1)) * rng.choice(gens)
+                                        for _ in range(k))))
+    assert sum(map(_has_untouched_middle_position, words)) >= 10
+    assert sum(map(_finishes_two_positions_early, words)) >= 10
+    for w in words:
+        assert bracket_state_sum(w) == _reference_state_sum(w), w
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_oracle_at_its_widest_labels_and_keys(sign):
+    # 24 curls on disjoint pairs of 48 strands: all 48 positions are touched,
+    # so fresh labels reach 48 + 23 = 71 and keys 48 * 73 + 72. The closure
+    # is 24 split curled unknots, (-A^(3 sign))^24 delta^23.
+    w = BraidWord(48, tuple(sign * k for k in range(1, 48, 2)))
+    assert bracket_state_sum(w) == LaurentPoly.monomial(1, 72 * sign) * delta() ** 23
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_depth_first_blocks_give_identical_results(monkeypatch, rows):
     words = _random_words(77, 40, max_strands=6, max_letters=12)

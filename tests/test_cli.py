@@ -8,6 +8,7 @@ import os
 import random
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 from importlib.metadata import PathDistribution
@@ -648,6 +649,26 @@ def test_overflowing_loop_value_writes_no_warnings():
         )
         assert (proc.returncode, proc.stderr) == (1, ""), extra
         assert ("null" if extra else "nan") in proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+def test_closed_stdout_ends_the_process_by_sigpipe():
+    # about 290 kB of matrix text: the child is still writing when the
+    # reader closes the pipe after one line
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")])
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "tlbraid.cli", "fib-matrix", "--n", "12", "--gen", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"1 0 0")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+        assert proc.stderr.read() == b""
 
 
 def test_usage_errors_exit_two():
