@@ -306,43 +306,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
-    # main reports a stray option with the usage of the chosen command, and
-    # writes "--opt -x" as "--opt=-x" where --opt, or the one option it
-    # abbreviates, takes a value in it
-    parser.value_options = {}
-    for name, p in commands.choices.items():
+    # main reports a stray option with the usage of the chosen command.
+    # argparse reads a token that names no option as a value where its
+    # negative-number rule matches; each command widens that rule to every
+    # token that starts with one "-" (-pi/2, -1,-2, -1e-3). It is set once
+    # every option exists; add_argument checks each option by its group's
+    # plain rule, and one named like -1 would switch the rule off.
+    for p in commands.choices.values():
         p.set_defaults(parser=p)
-        parser.value_options[name] = {
-            opt: a.nargs is None for opt, a in p._option_string_actions.items()
-        }
+        p._negative_number_matcher = re.compile(r"-(?!-)")
     return parser
-
-
-def _value_option(arg: str, options: dict[str, bool]) -> str | None:
-    """The option that takes a value and that arg names, in full or, as
-    argparse reads it, by a prefix of one option only; else None."""
-    if arg not in options and arg[:2] == "--":
-        found = [opt for opt in options if opt.startswith(arg)]
-        arg = found[0] if len(found) == 1 else None
-    return arg if options.get(arg) else None
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    # argparse reads a value such as -pi/2, -1,-2 or -1e-3 as an option
-    # unless "=" ties it to the option it follows
-    argv = sys.argv[1:] if argv is None else argv
-    options = parser.value_options.get(argv[0], {}) if argv else {}
-    joined = []
-    for arg in argv:
-        dash = arg[:1] == "-" and arg[:2] != "--"
-        option = dash and joined and _value_option(joined[-1], options)
-        if option:
-            joined[-1] = f"{option}={arg}"
-        else:
-            joined.append(arg)
     try:
-        args, stray = parser.parse_known_args(joined)
+        args, stray = parser.parse_known_args(argv)
         if stray:
             args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:

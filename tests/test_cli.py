@@ -494,7 +494,7 @@ def test_bare_dot_numerator_is_a_bad_phase(argv, text):
 )
 @pytest.mark.parametrize("value", ["-pi/2", "-3pi/5", "-0.5", "-.5"])
 def test_negative_phase_after_a_space(argv, value):
-    # argparse alone reads -pi/2 as an option; main joins it to --phase
+    # each command's parser reads -pi/2 as a value, not as an unknown option
     spaced = _run([*argv, value])
     assert spaced == _run([*argv[:-1], f"--phase={value}"])
     assert spaced[0] != 2 and spaced[1]
@@ -523,7 +523,7 @@ def test_negative_loop_value_and_tolerance_after_a_space():
 
 def test_negative_value_after_a_prefix_of_its_option():
     # argparse reads --ph as --phase and --w as --word, the one option of
-    # the command that each begins; main joins the value to it
+    # the command that each begins, and the dash token after it as its value
     argv = ["eval", "--strands", "2", "--word", "1"]
     spaced = _run([*argv, "--ph", "-pi/2"])
     assert spaced == _run([*argv, "--phase=-pi/2"])
@@ -557,6 +557,64 @@ def test_only_a_value_option_of_the_command_takes_a_dash_value():
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"usage: tlbraid {argv[0]} "), argv
         assert err.endswith(f"tlbraid {argv[0]}: error: {message}\n"), argv
+
+
+# the required arguments of each command, so that it parses and runs
+_REQUIRED_ARGS = {
+    "bracket": ["--strands", "3", "--word", "1 -2"],
+    "jones": ["--strands", "3", "--word", "1 -2"],
+    "eval": ["--strands", "3", "--word", "1 -2", "--phase", "pi/5"],
+    "dims": ["--max", "3"],
+    "fib-matrix": ["--n", "2", "--gen", "1"],
+    "fib-verify": ["--n", "3"],
+    "verify": ["--n", "3"],
+}
+
+
+def _command_parsers():
+    parser = cli_module.build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("command", list(_command_parsers()))
+def test_every_option_of_a_command_reads_dash_values_as_argparse_says(command):
+    # a value option reads any token that starts with one "-" and names no
+    # option, as it reads "--opt=-x"; after a flag that token is stray
+    required = _REQUIRED_ARGS[command]
+    for action in _command_parsers()[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        (option,) = action.option_strings
+        if action.nargs is None:
+            argv = [command, *required]
+            if option in required:
+                del argv[argv.index(option) : argv.index(option) + 2]
+            for value in ("-pi/2", "-1,-2", "-1e-3", "-.5", "-inf"):
+                spaced = _run([*argv, option, value])
+                assert spaced == _run([*argv, f"{option}={value}"]), (option, value)
+        else:
+            assert action.nargs == 0, option
+            code, out, err = _run([command, *required, option, "-1"])
+            assert (code, out) == (2, ""), option
+            assert err.startswith(f"usage: tlbraid {command} "), option
+            assert err.endswith(
+                f"tlbraid {command}: error: unrecognized arguments: -1\n"
+            ), option
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["eval", *TREFOIL, "--phase", "-h"], "--phase"),
+        (["jones", "--strands", "3", "--word", "-h2"], "--word"),
+    ],
+)
+def test_a_value_that_begins_with_h_is_the_help_option(argv, option):
+    # "-h2" names -h with the attached value 2, so the option before it
+    # gets no value; "--word=-h2" is still a (bad) word
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: expected one argument\n")
 
 
 @pytest.mark.parametrize("argv", _PARAMS_COMMANDS)
