@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 
 # Both bracket routes do work superlinear in the strand count before the
 # first letter: the TL route builds its n-1 generator diagrams, O(n^3) in
@@ -20,18 +21,21 @@ class BraidWord:
     Letters are nonzero integers with 1 <= |letter| <= strands - 1: letter
     k crosses strands k and k+1 (positive crossing), and -k is its inverse.
     The empty word is the identity braid. Strand counts past
-    BRAID_MAX_STRANDS raise ValueError.
+    BRAID_MAX_STRANDS raise ValueError; a strand count or letter that is
+    not an int (operator.index), such as a float or a string, raises
+    TypeError.
     """
 
     strands: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "strands", index(self.strands))
         if not 1 <= self.strands <= BRAID_MAX_STRANDS:
             raise ValueError(
                 f"strand count must be in 1..{BRAID_MAX_STRANDS}, got {self.strands}"
             )
-        object.__setattr__(self, "letters", tuple(int(x) for x in self.letters))
+        object.__setattr__(self, "letters", tuple(map(index, self.letters)))
         for ell in self.letters:
             if ell == 0 or abs(ell) > self.strands - 1:
                 raise ValueError(

@@ -322,6 +322,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args, stray = parser.parse_known_args(argv)
+        # Python 3.10-3.12 drop the "--" of "--opt=--" and store []; no
+        # option here has a list value, so [] is always that dropped value
+        for dest, value in vars(args).items():
+            if value == []:
+                option = "--" + dest.replace("_", "-")
+                args.parser.error(f"argument {option}: expected one argument")
         if stray:
             args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     except SystemExit as exc:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 import threading
+from dataclasses import dataclass
+from operator import index
 
 
 def _exact_sum(values: list[float]) -> float:
@@ -31,24 +33,28 @@ def _exact_sum(values: list[float]) -> float:
         return float(sum(map(Fraction, values)))
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
     Stored as a map exponent -> nonzero coefficient; the zero polynomial
     is the empty map. Supports +, -, * (with another polynomial or an
-    int) and ** with a nonnegative integer exponent.
+    int) and ** with a nonnegative integer exponent. Exponents and
+    coefficients are ints (operator.index): a float or a string raises
+    TypeError.
     """
 
-    __slots__ = ("_terms",)
+    _terms: dict[int, int]
 
     def __init__(self, terms: dict[int, int] | None = None):
-        self._terms = {int(e): int(c) for e, c in (terms or {}).items() if c != 0}
+        pairs = ((index(e), index(c)) for e, c in (terms or {}).items())
+        object.__setattr__(self, "_terms", {e: c for e, c in pairs if c})
 
     @classmethod
     def _clean(cls, terms: dict[int, int]) -> "LaurentPoly":
         """A polynomial on `terms` as given: int keys and nonzero int values."""
         self = object.__new__(cls)
-        self._terms = terms
+        object.__setattr__(self, "_terms", terms)
         return self
 
     @classmethod

@@ -40,7 +40,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, itemgetter, lshift, sub
+from operator import add, index, itemgetter, lshift, sub
 from typing import Callable
 
 from .braid import BraidWord
@@ -98,13 +98,16 @@ def _cyclic_position(endpoint: int, n: int) -> int:
     return endpoint if endpoint < n else 3 * n - 1 - endpoint
 
 
+@dataclass(frozen=True, slots=True)
 class PlanarPairing:
     """A non-crossing pairing of the 2n boundary points of a TL diagram."""
 
-    __slots__ = ("size", "partner")
+    size: int
+    partner: tuple[int, ...]
 
-    def __init__(self, size: int, partner):
-        p = tuple(int(x) for x in partner)
+    def __post_init__(self):
+        size = index(self.size)
+        p = tuple(map(index, self.partner))
         if size < 1:
             raise ValueError("size must be >= 1")
         if len(p) != 2 * size:
@@ -123,8 +126,8 @@ class PlanarPairing:
                 open_ends.append(end)
             elif open_ends.pop() != pos:
                 raise ValueError("pairing has crossing chords")
-        self.size = size
-        self.partner = p
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "partner", p)
 
     @classmethod
     def _trusted(cls, size: int, partner: tuple) -> "PlanarPairing":
@@ -138,19 +141,6 @@ class PlanarPairing:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "partner", partner)
         return self
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "partner"):
-            raise AttributeError("PlanarPairing is immutable")
-        object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if not isinstance(other, PlanarPairing):
-            return NotImplemented
-        return self.size == other.size and self.partner == other.partner
-
-    def __hash__(self):
-        return hash((self.size, self.partner))
 
     def __repr__(self):
         return f"PlanarPairing({self.size}, {list(self.partner)})"
@@ -279,10 +269,12 @@ def enumerate_pairings(n: int) -> list[PlanarPairing]:
     return result
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class TLElement:
     """A formal LaurentPoly-weighted sum of TL diagrams of one size."""
 
-    __slots__ = ("size", "_terms")
+    size: int
+    _terms: dict[PlanarPairing, LaurentPoly]
 
     def __init__(self, size: int, terms: dict[PlanarPairing, LaurentPoly] | None = None):
         clean = {}
@@ -291,13 +283,8 @@ class TLElement:
                 raise ValueError("diagram size mismatch")
             if not coeff.is_zero():
                 clean[diagram] = coeff
-        self.size = size
-        self._terms = clean
-
-    def __setattr__(self, name, value):
-        if hasattr(self, "_terms"):
-            raise AttributeError("TLElement is immutable")
-        object.__setattr__(self, name, value)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_terms", clean)
 
     @classmethod
     def identity(cls, n: int) -> "TLElement":
@@ -336,11 +323,6 @@ class TLElement:
                 coeff = c1 * c2 * delta_power(loops)
                 acc[d] = acc[d] + coeff if d in acc else coeff
         return TLElement(self.size, acc)
-
-    def __eq__(self, other):
-        if not isinstance(other, TLElement):
-            return NotImplemented
-        return self.size == other.size and self._terms == other._terms
 
     def __hash__(self):
         return hash((self.size, frozenset(self._terms.items())))

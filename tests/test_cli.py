@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: frozen output bytes and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -571,6 +572,16 @@ _REQUIRED_ARGS = {
 }
 
 
+def _drops_explicit_dashes():
+    """Whether this Python's argparse stores [] for "--opt=--" (3.10-3.12)."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--opt")
+    return parser.parse_args(["--opt=--"]).opt == []
+
+
+_DROPS_EXPLICIT_DASHES = _drops_explicit_dashes()
+
+
 def _command_parsers():
     parser = cli_module.build_parser()
     return next(a for a in parser._actions if a.dest == "command").choices
@@ -592,6 +603,13 @@ def test_every_option_of_a_command_reads_dash_values_as_argparse_says(command):
             for value in ("-pi/2", "-1,-2", "-1e-3", "-.5", "-inf"):
                 spaced = _run([*argv, option, value])
                 assert spaced == _run([*argv, f"{option}={value}"]), (option, value)
+            # "--opt=--" is refused on every interpreter, whether argparse
+            # keeps "--" as the value or drops it
+            code, out, err = _run([*argv, f"{option}=--"])
+            assert (code, out) == (2, ""), option
+            assert "Traceback" not in err, option
+            if _DROPS_EXPLICIT_DASHES:
+                assert err.endswith(f"error: argument {option}: expected one argument\n"), option
         else:
             assert action.nargs == 0, option
             code, out, err = _run([command, *required, option, "-1"])

@@ -116,11 +116,11 @@ FUZZ_MAX_LETTERS = 14
 
 _reals = st.one_of(
     st.floats().map(repr),
-    st.sampled_from(["1.5", "-1.5", "0", "2", "1e400", "x", ""]),
+    st.sampled_from(["1.5", "-1.5", "0", "2", "1e400", "x", "", "--"]),
 )
 _letters = st.one_of(
     st.sampled_from(["1", "-1", "2", "-2"]),
-    st.one_of(st.integers(-7, 7).map(str), st.sampled_from(["x", "1.5", "+"])),
+    st.one_of(st.integers(-7, 7).map(str), st.sampled_from(["x", "1.5", "+", "--"])),
 )
 _VALUES = {
     "--strands": st.one_of(
@@ -133,12 +133,13 @@ _VALUES = {
         _reals,
         st.sampled_from(["3pi/5", "-pi/2", "pi/0", "2*pi", ".pi", "9" * 400 + "pi"]),
     ),
-    "--max": st.one_of(st.integers(-2, 40), st.integers(10**3, 10**12)).map(str),
-    "--n": st.integers(-2, 13).map(str),
-    "--gen": st.integers(-2, 15).map(str),
+    "--max": st.one_of(st.integers(-2, 40), st.integers(10**3, 10**12)).map(str)
+    | st.just("--"),
+    "--n": st.integers(-2, 13).map(str) | st.just("--"),
+    "--gen": st.integers(-2, 15).map(str) | st.just("--"),
     "--delta": _reals,
     "--tol": _reals,
-    "--delta-sign": st.sampled_from(["+", "-", "*"]),
+    "--delta-sign": st.sampled_from(["+", "-", "*", "--"]),
     # no command takes --right-end or --module: each must exit 2, not raise
     "--right-end": st.sampled_from(["uniform", "literal", "sideways"]),
     "--module": st.sampled_from(["tl", "fib", "other"]),

@@ -8,6 +8,7 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,11 +76,36 @@ def test_rejects_crossing_and_non_involution():
 
 
 def test_pairings_and_elements_are_immutable():
-    for obj, name in ((PlanarPairing.identity(2), "partner"), (TLElement.identity(2), "_terms")):
-        for attr in (name, "size"):
-            with pytest.raises(AttributeError, match="is immutable"):
+    for obj, names in (
+        (PlanarPairing.identity(2), ("partner", "size")),
+        (TLElement.identity(2), ("_terms", "size")),
+        (LaurentPoly.one(), ("_terms",)),
+    ):
+        for attr in names:
+            with pytest.raises(AttributeError, match="cannot assign to field"):
                 setattr(obj, attr, None)
     assert PlanarPairing.identity(2).partner == (2, 3, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, "3"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: LaurentPoly({0: x}),
+        lambda x: LaurentPoly({x: 1}),
+        lambda x: BraidWord(x),
+        lambda x: BraidWord(4, (1, x)),
+        lambda x: PlanarPairing(x, (3, 4, 5, 0, 1, 2)),
+        lambda x: PlanarPairing(2, (2, x, 0, 1)),
+    ],
+    ids=["coefficient", "exponent", "strands", "letter", "size", "partner"],
+)
+def test_exact_types_take_integers_only(make, bad):
+    # operator.index, not int(): nothing is truncated or parsed, and numpy
+    # integers still pass
+    with pytest.raises(TypeError):
+        make(bad)
+    assert repr(make(np.int64(3))) == repr(make(3))
 
 
 def _crosses_reference(n, partner):
