@@ -7,8 +7,10 @@ loops; LaurentPoly-weighted formal sums of diagrams form the algebra, with
 each closed loop worth a factor of the loop value -A^2 - A^-2.
 
 Braid words take a fused path. Diagrams of each size are interned as ints
-in a lazily filled table that memoizes the right action of every U_i, and
-a word is one pass of updates to a state {diagram id: packed int}. Each
+in a lazily filled table that memoizes the right action of every U_i, found
+by a local rule on the two bottom points under U_i's cap and never by
+compose, so the TLElement product checks the engine independently. A word
+is one pass of updates to a state {diagram id: packed int}. Each
 diagram's Laurent coefficient is packed into one Python int by Kronecker
 substitution, one B-bit slot per power of A^4: by Kauffman's mod-4
 property, its exponents share one class mod 4, set by the word's writhe
@@ -129,19 +131,6 @@ class PlanarPairing:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "partner", p)
 
-    @classmethod
-    def _trusted(cls, size: int, partner: tuple) -> "PlanarPairing":
-        """A pairing known to be valid, built without the checks.
-
-        Only for pairings planar by construction: products of valid
-        pairings (composing two non-crossing pairings gives a non-crossing
-        pairing) and the bracket matchings of enumerate_pairings.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "partner", partner)
-        return self
-
     def __repr__(self):
         return f"PlanarPairing({self.size}, {list(self.partner)})"
 
@@ -209,7 +198,7 @@ class PlanarPairing:
                 j_via_top = p1[n + j] - n  # stays internal: outer paths are done
                 mid_seen[j_via_top] = True
                 j = p2[j_via_top]
-        return PlanarPairing._trusted(n, tuple(partner)), loops
+        return PlanarPairing(n, tuple(partner)), loops
 
     def closure_loops(self) -> int:
         """Loops of the trace closure joining top i to bottom n+i."""
@@ -256,15 +245,15 @@ def enumerate_pairings(n: int) -> list[PlanarPairing]:
                 for m2 in matchings(outer):
                     yield [(first, positions[k])] + m1 + m2
 
-    # A bracket matching of the boundary order is non-crossing, so every
-    # pairing is built without the public constructor's checks.
+    # A bracket matching of the boundary order is non-crossing; the public
+    # constructor checks each one all the same.
     result = []
     for matching in matchings(tuple(range(2 * n))):
         partner = [-1] * (2 * n)
         for pa, pb in matching:
             ea, eb = _cyclic_position(pa, n), _cyclic_position(pb, n)
             partner[ea], partner[eb] = eb, ea
-        result.append(PlanarPairing._trusted(n, tuple(partner)))
+        result.append(PlanarPairing(n, tuple(partner)))
     result.sort(key=lambda d: d.partner)
     return result
 
@@ -277,6 +266,8 @@ class TLElement:
     _terms: dict[PlanarPairing, LaurentPoly]
 
     def __init__(self, size: int, terms: dict[PlanarPairing, LaurentPoly] | None = None):
+        if (size := index(size)) < 1:
+            raise ValueError("size must be >= 1")
         clean = {}
         for diagram, coeff in (terms or {}).items():
             if diagram.size != size:
@@ -346,30 +337,30 @@ class _DiagramTable:
 
     act[i - 1][d] is (id of d*U_i, loops trapped), or None until first
     needed; loops is 0 or 1. closure[d] is the loop count of diagram d's
-    trace closure. Misses go through PlanarPairing.compose, whose products
-    skip the public constructor's checks: a product of planar diagrams is
-    planar, which tests/test_tl.py confirms for every entry up to 8 strands.
+    trace closure. fill applies U_i by a local rule on partner tuples, and
+    intern builds each new tuple's PlanarPairing, checks included, once.
     Once every diagram is interned, plan(i) gives U_i's action on a dense
     state.
     """
 
     def __init__(self, n: int):
+        self.size = n
         self.catalan = _catalan(n)
         self.diagrams: list[PlanarPairing] = []
         self.closure: list[int] = []
         self.act: list[list] = [[] for _ in range(n - 1)]
         self._plans: list = [None] * (n - 1)
         self._ids: dict[tuple, int] = {}
-        self._generators = [PlanarPairing.generator(n, i) for i in range(1, n)]
         self._lock = threading.Lock()
-        self.identity = self.intern(PlanarPairing.identity(n))
+        self.identity = self.intern(tuple(range(n, 2 * n)) + tuple(range(n)))
 
-    def intern(self, diagram: PlanarPairing) -> int:
-        found = self._ids.get(diagram.partner)
+    def intern(self, partner: tuple[int, ...]) -> int:
+        found = self._ids.get(partner)
         if found is None:
             with self._lock:  # an id must match its slot in every list
-                found = self._ids.get(diagram.partner)
+                found = self._ids.get(partner)
                 if found is None:
+                    diagram = PlanarPairing(self.size, partner)
                     found = len(self.diagrams)
                     self.closure.append(diagram.closure_loops())
                     for row in self.act:
@@ -377,13 +368,22 @@ class _DiagramTable:
                     # last, so that a table whose diagrams number Catalan(n)
                     # has every list filled
                     self.diagrams.append(diagram)
-                    self._ids[diagram.partner] = found
+                    self._ids[partner] = found
         return found
 
     def fill(self, i: int, d: int) -> tuple[int, int]:
-        """Compute, store and return act[i - 1][d]."""
-        product, loops = self.diagrams[d].compose(self._generators[i - 1])
-        entry = self.act[i - 1][d] = (self.intern(product), loops)
+        """Compute, store and return act[i - 1][d]. U_i's cap meets only
+        d's bottom points a = n + i - 1 and a + 1: if d pairs them, the cap
+        closes one loop and d*U_i is d; otherwise the cap joins their
+        partners, and U_i's cup pairs a with a + 1."""
+        p = self.diagrams[d].partner
+        a = self.size + i - 1
+        entry = (d, 1)
+        if p[a] != a + 1:
+            q = list(p)
+            q[p[a]], q[p[a + 1]], q[a], q[a + 1] = p[a + 1], p[a], a + 1, a
+            entry = (self.intern(tuple(q)), 0)
+        self.act[i - 1][d] = entry
         return entry
 
     def plan(self, i: int) -> "_LetterPlan":
@@ -408,7 +408,7 @@ class _LetterPlan:
 
     def __init__(self, table: _DiagramTable, i: int):
         act = table.act[i - 1]
-        n = len(table.act) + 1
+        n = table.size
         sources: dict[int, list[int]] = {}
         capped, self.uncapped = [], []
         for d in range(table.catalan):

@@ -97,8 +97,9 @@ def test_pairings_and_elements_are_immutable():
         lambda x: BraidWord(4, (1, x)),
         lambda x: PlanarPairing(x, (3, 4, 5, 0, 1, 2)),
         lambda x: PlanarPairing(2, (2, x, 0, 1)),
+        lambda x: TLElement(x),
     ],
-    ids=["coefficient", "exponent", "strands", "letter", "size", "partner"],
+    ids=["coefficient", "exponent", "strands", "letter", "size", "partner", "element_size"],
 )
 def test_exact_types_take_integers_only(make, bad):
     # operator.index, not int(): nothing is truncated or parsed, and numpy
@@ -194,10 +195,10 @@ def test_chord_check_matches_reference_on_random_involutions(case):
     assert _accepted(n, partner) == (not _crosses_reference(n, partner))
 
 
-def test_trusted_products_are_planar():
+def test_local_rule_matches_compose_on_every_table_entry():
     """Fill every table entry up to 8 strands by BFS from the identity: the
-    products compose builds without checks are exactly the planar diagrams,
-    and each passes the public constructor unchanged."""
+    products fill's local U_i rule reaches are exactly the planar diagrams,
+    and each entry (d*U_i, loops) equals what the general compose gives."""
     for n in range(1, 9):
         table = tl_module._DiagramTable(n)
         frontier = [table.identity]
@@ -223,7 +224,6 @@ def test_trusted_products_are_planar():
             u = PlanarPairing.generator(n, i)
             for d, (target, loops) in enumerate(table.act[i - 1]):
                 product, product_loops = table.diagrams[d].compose(u)
-                assert PlanarPairing(n, product.partner) == product
                 assert (product, product_loops) == (table.diagrams[target], loops)
 
 
@@ -265,7 +265,8 @@ def test_enumeration_matches_catalan():
         catalan = math.comb(2 * n, n) // (n + 1)
         assert len(basis) == catalan
         assert len(set(basis)) == catalan
-        # built without checks, so each must pass the public constructor
+        # each pairing went through the public constructor; rebuilding it
+        # from its partner array gives an equal pairing
         assert all(PlanarPairing(n, d.partner) == d for d in basis)
         assert [d.partner for d in basis] == sorted(d.partner for d in basis)
     with pytest.raises(ValueError):
@@ -454,6 +455,9 @@ def test_size_mismatch_rejected():
         a + b
     with pytest.raises(ValueError, match="equal size"):
         PlanarPairing.identity(2).compose(PlanarPairing.identity(3))
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="size must be >= 1"):
+            TLElement(size)
 
 
 def test_pairing_json_round_trip():
@@ -549,16 +553,16 @@ def test_fused_engine_matches_general_fold_past_oracle_cap():
     assert max(abs(c) for c in bracket_via_tl(wide).terms.values()) > 2**63
 
 
-def test_repeat_word_makes_no_compositions(monkeypatch):
+def test_repeat_word_fills_no_table_entries(monkeypatch):
     monkeypatch.setattr(tl_module, "_TABLES", {})
     calls = []
-    compose = PlanarPairing.compose
+    fill = tl_module._DiagramTable.fill
 
-    def counting(self, other):
+    def counting(self, i, d):
         calls.append(1)
-        return compose(self, other)
+        return fill(self, i, d)
 
-    monkeypatch.setattr(PlanarPairing, "compose", counting)
+    monkeypatch.setattr(tl_module._DiagramTable, "fill", counting)
     n = 5
     word = BraidWord(n, (1, 2, -3, 4, 2, 1, -4, 3, 3, 2, -1, 4) * 3)
     first = bracket_via_tl(word)
@@ -567,6 +571,38 @@ def test_repeat_word_makes_no_compositions(monkeypatch):
     calls.clear()
     assert bracket_via_tl(word) == first
     assert calls == []
+
+
+def test_engine_never_composes(monkeypatch):
+    # the engine applies U_i by fill's local rule, so the TLElement fold,
+    # whose products go through compose, is an independent check of it
+    rng = random.Random(31)
+    words = [_random_word(rng, n, rng.randint(0, 24)) for n in range(2, 9) for _ in range(3)]
+    folds = [_general_fold(word) for word in words]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the TL engine called compose")
+
+    monkeypatch.setattr(PlanarPairing, "compose", forbidden)
+    monkeypatch.setattr(tl_module, "_TABLES", {})
+    for word, folded in zip(words, folds):
+        assert rep_braid_word(word) == folded, word
+        assert bracket_via_tl(word) == markov_trace(folded), word
+
+
+def test_table_builds_only_the_identity_up_front(monkeypatch):
+    identity = PlanarPairing.identity(200).partner
+    built = []
+    post_init = PlanarPairing.__post_init__
+
+    def recording(self):
+        post_init(self)
+        built.append(self.partner)
+
+    monkeypatch.setattr(PlanarPairing, "__post_init__", recording)
+    table = tl_module._DiagramTable(200)
+    assert built == [identity]
+    assert table.diagrams[table.identity].partner == identity
 
 
 def _complete_table(n):
@@ -733,7 +769,8 @@ def test_state_cap_raises(monkeypatch):
         rep_braid_word(word)
     # a word too long for even one diagram stops before its first letter
     monkeypatch.setattr(tl_module, "STATE_MAX_BITS", bits - 1)
-    monkeypatch.setattr(PlanarPairing, "compose", None)
+    monkeypatch.setattr(tl_module, "_TABLES", {})
+    monkeypatch.setattr(tl_module._DiagramTable, "fill", None)
     with pytest.raises(ValueError, match="diagrams: 1,"):
         bracket_via_tl(BraidWord(6, (5,) * 10))
 
@@ -745,13 +782,15 @@ def test_word_budget_refuses_before_the_first_letter(monkeypatch):
     monkeypatch.setattr(tl_module, "WORD_MAX_WORK", work)
     assert bracket_via_tl(word) == markov_trace(_general_fold(word))
     monkeypatch.setattr(tl_module, "WORD_MAX_WORK", work - 1)
-    monkeypatch.setattr(PlanarPairing, "compose", None)
+    monkeypatch.setattr(tl_module, "_TABLES", {})
+    monkeypatch.setattr(tl_module._DiagramTable, "fill", None)
     for route in (bracket_via_tl, rep_braid_word):
         with pytest.raises(ValueError, match=f"exceeds the work budget of {work - 1}"):
             route(word)
     # at the real budget, 3 strands admit about 4800 letters
     monkeypatch.undo()
-    monkeypatch.setattr(PlanarPairing, "compose", None)
+    monkeypatch.setattr(tl_module, "_TABLES", {})
+    monkeypatch.setattr(tl_module._DiagramTable, "fill", None)
     with pytest.raises(ValueError, match="work budget"):
         bracket_via_tl(BraidWord(3, (1, -2) * 2500))
 
