@@ -22,10 +22,11 @@ per letter, to 2^L after L letters, and the trace's loop powers
 delta^(l - 1), l <= n, add at most n - 1 bits, so B = L + n + 1 bits on n
 strands hold every coefficient of the state and of its trace. Each weight
 is a left shift of 0 or 1 slots, and the work runs in C on exact
-integers. A letter runs as a loop over a sparse state; once the state
-holds half of all Catalan(n) diagrams and the table knows them all, it is
-zero-filled and each letter runs as a few bulk C-level updates planned
-once per generator. rep_braid_word unpacks every diagram into a
+integers. A letter runs as a loop over a sparse state; on 5 or more
+strands, once the state holds half of all Catalan(n) diagrams and the
+table knows them all, it becomes a numpy object array of the packed ints,
+and each letter runs as one gather, reduceat and scatter planned once per
+generator. rep_braid_word unpacks every diagram into a
 TLElement; trace_braid_word adds the packed ints per closure loop count,
 closes the sums by Horner's rule in delta in packed form and unpacks once.
 The state is capped in diagrams (STATE_MAX_DIAGRAMS) and in bits
@@ -41,8 +42,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, index, itemgetter, lshift, sub
+from functools import lru_cache
+from operator import index
 from typing import Callable
 
 from .braid import BraidWord
@@ -78,7 +79,7 @@ STATE_MAX_DIAGRAMS = _catalan(ENUMERATION_MAX_N)
 # Bits the state may hold, counted as diagrams times (2L + 1) * (L + n + 1)
 # for L letters on n strands, about twice its L + 1 slots per diagram. Its
 # measured peak memory is about 0.46x this count (7 strands, 400 random
-# letters: 17.5 MB counted, 8.1 MB peak), so 2^30 bits bound it near 64 MiB.
+# letters, dense: 17.5 MB counted, 8.0 MB peak), so 2^30 bits bound it near 64 MiB.
 # The benchmark's widest words count about 1.2M bits.
 STATE_MAX_BITS = 1 << 30
 # A word's worst-case work: letters times the counted bits of one diagram
@@ -86,9 +87,9 @@ STATE_MAX_BITS = 1 << 30
 # subalgebra its generators span, capped as above).
 # Each letter shifts and adds every diagram's int once or twice, so run time
 # grows with this count. At 2^40 the slowest admitted words measured take
-# under half a minute (2-vCPU VM, Python 3.11): 27 s for sigma_1^6500 on 2
-# strands and 15 s for (1 -2)^2394 on 3; random words at the budget took
-# 9-11 s on 5, 7 and 12 strands (the last on generators 1-6, its state near
+# under half a minute (2-vCPU VM, Python 3.11): 22-24 s for sigma_1^6500 on
+# 2 strands and 19-20 s for (1 -2)^2394 on 3; random words at the budget took
+# 8-13 s on 5, 7 and 12 strands (the last on generators 1-6, its state near
 # the bit cap).
 WORD_MAX_WORK = 1 << 40
 
@@ -98,6 +99,12 @@ def _cyclic_position(endpoint: int, n: int) -> int:
     # left, so chord crossings reduce to interval interleaving. The map is
     # its own inverse: it also gives the endpoint at a boundary position.
     return endpoint if endpoint < n else 3 * n - 1 - endpoint
+
+
+@lru_cache(maxsize=64)
+def _boundary_order(n: int) -> tuple[int, ...]:
+    """The endpoint at each boundary position, and each endpoint's position."""
+    return tuple(_cyclic_position(e, n) for e in range(2 * n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,9 +128,10 @@ class PlanarPairing:
                 raise ValueError("partner must be a fixed-point-free involution")
         # Non-crossing means the chords nest like brackets along the cyclic
         # boundary order: each chord must close the innermost one still open.
+        order = _boundary_order(size)
         open_ends = []
-        for pos in range(2 * size):
-            end = _cyclic_position(p[_cyclic_position(pos, size)], size)
+        for pos, endpoint in enumerate(order):
+            end = order[p[endpoint]]
             if end > pos:
                 open_ends.append(end)
             elif open_ends.pop() != pos:
@@ -247,11 +255,12 @@ def enumerate_pairings(n: int) -> list[PlanarPairing]:
 
     # A bracket matching of the boundary order is non-crossing; the public
     # constructor checks each one all the same.
+    order = _boundary_order(n)
     result = []
     for matching in matchings(tuple(range(2 * n))):
         partner = [-1] * (2 * n)
         for pa, pb in matching:
-            ea, eb = _cyclic_position(pa, n), _cyclic_position(pb, n)
+            ea, eb = order[pa], order[pb]
             partner[ea], partner[eb] = eb, ea
         result.append(PlanarPairing(n, tuple(partner)))
     result.sort(key=lambda d: d.partner)
@@ -395,61 +404,58 @@ class _DiagramTable:
 
 
 class _LetterPlan:
-    """U_i's action on a state that holds every diagram, as bulk updates.
+    """U_i's action on a state that holds every diagram, as one flat plan.
 
     Every image d*U_i is capped for U_i (d*U_i*U_i = delta*d*U_i), so the
     uncapped diagrams only send and the capped ones only receive. Each
     capped t has a source, t*U_(i+-1) (on 2 strands the identity), and all
-    of parity 1 - h(t) (see _word_state). parts holds (targets, columns, h)
-    per parity, targets with the most sources first; the j-th column
-    gathers the j-th source of each of the first len(column) targets, so a
-    target of k sources costs k - 1 additions.
+    of parity 1 - h(t) (see _word_state). targets holds the capped ids,
+    the first `split` of them those with h = 0, and sources their sources
+    grouped per target, group k from starts[k]. A letter sums each group
+    with one np.add.reduceat, shifts the ids of shifted[positive] (a
+    positive letter's targets with h = 0, a negative letter's uncapped
+    ids) in place, takes the targets, subtracts, shifts one h slice and
+    scatters the results back.
     """
 
     def __init__(self, table: _DiagramTable, i: int):
+        import numpy as np
+
         act = table.act[i - 1]
         n = table.size
         sources: dict[int, list[int]] = {}
-        capped, self.uncapped = [], []
+        capped = []
         for d in range(table.catalan):
             target, loops = act[d] or table.fill(i, d)
             if loops:
                 capped.append(d)
             else:
-                self.uncapped.append(d)
                 sources.setdefault(target, []).append(d)
-        capped.sort(key=lambda t: -len(sources[t]))
-        self.parts = []
-        for h in (0, 1):
-            targets = [t for t in capped if (n - table.closure[t]) & 1 == h]
-            if targets:
-                first, *rest = [
-                    [sources[t][j] for t in targets if len(sources[t]) > j]
-                    for j in range(len(sources[targets[0]]))
-                ]
-                self.parts.append((targets, first, rest, h))
+        capped.sort(key=lambda t: (n - table.closure[t]) & 1)
+        self.split = sum((n - table.closure[t]) & 1 == 0 for t in capped)
+        # a target with no source would fail here: reduceat would give its
+        # empty group the next group's first source, not 0
+        groups = [sources[t] for t in capped]
+        self.targets = np.array(capped)
+        self.sources = np.array([d for group in groups for d in group])
+        self.starts = np.cumsum([0] + [len(group) for group in groups[:-1]])
+        ids = np.arange(table.catalan)
+        self.shifted = {True: np.isin(ids, capped[: self.split]), False: ~np.isin(ids, capped)}
+        self.reduceat, self.lshift = np.add.reduceat, np.left_shift
 
-    def apply(self, state: dict[int, int], width: int, positive: bool) -> None:
-        """One letter, in place, with the weights of _word_state."""
-        get = state.__getitem__
-        for targets, first, rest, h in self.parts:
-            moved = list(map(get, first))
-            for column in rest:
-                moved[: len(column)] = map(add, moved, map(get, column))
-            # each old value is read just before its key is written, so no
-            # letter holds two copies of the state
-            capped = map(get, targets)
-            if positive and h:  # (moved - x) << B
-                values = map(lshift, map(sub, moved, capped), repeat(width))
-            elif positive:  # moved - (x << B)
-                values = map(sub, moved, map(lshift, capped, repeat(width)))
-            else:  # (moved << B when h = 1) - x
-                shifted = map(lshift, moved, repeat(width)) if h else moved
-                values = map(sub, shifted, capped)
-            state.update(zip(targets, values))
-        if not positive:  # uncapped x become x << B
-            values = map(lshift, map(get, self.uncapped), repeat(width))
-            state.update(zip(self.uncapped, values))
+    def apply(self, state, width: int, positive: bool) -> None:
+        """One letter, in place on an object array of packed ints, with the
+        weights of _word_state; its ufuncs call int's own +, - and <<."""
+        moved = self.reduceat(state.take(self.sources), self.starts)
+        if not positive:  # (moved << B when h = 1) - x
+            moved[self.split :] <<= width
+        # shifting in place frees each old int as its new one is stored, so
+        # no letter holds two copies of the state
+        self.lshift(state, width, out=state, where=self.shifted[positive])
+        moved -= state.take(self.targets)
+        if positive:  # moved - (x << B) when h = 0, (moved - x) << B when h = 1
+            moved[self.split :] <<= width
+        state[self.targets] = moved
 
 
 _TABLES: dict[int, _DiagramTable] = {}
@@ -488,10 +494,14 @@ def _word_state(
     and unpacks exactly; so does every coefficient of the state itself.
 
     A letter runs as a loop over the state's diagrams while the state is
-    sparse. Once the table holds all Catalan(n) diagrams, the caps admit
-    that many and the state holds at least half of them, the state is
-    zero-filled to every diagram and each later letter runs as the bulk
-    updates of _LetterPlan.apply; such a state never outgrows the caps.
+    sparse. On n >= 5 strands, once the table holds all Catalan(n)
+    diagrams, the caps admit that many and the state holds at least half of
+    them, the state becomes a numpy object array of Python ints indexed by
+    diagram id, zero for the diagrams it lacks, and each later letter runs
+    as the flat plan of _LetterPlan.apply; such a state never outgrows the
+    caps, and it turns back into a dict of its nonzero entries at the end.
+    On 2-4 strands a dense letter's fixed numpy cost is more than a whole
+    sparse letter, so those states stay dicts.
 
     Returns the table, the state and (B, top). Raises ValueError before the
     first letter when the word's worst-case work exceeds WORD_MAX_WORK,
@@ -516,7 +526,7 @@ def _word_state(
     if table is None:
         table = _TABLES.setdefault(n, _DiagramTable(n))
     catalan = table.catalan
-    may_densify = catalan <= max_diagrams
+    may_densify = n >= 5 and catalan <= max_diagrams
     dense = False
     state = {table.identity: 1}
     top = 0  # slot k of diagram d holds A^(top + 2h(d) - 4k)
@@ -529,13 +539,16 @@ def _word_state(
             and 2 * len(state) >= catalan
             and len(table.diagrams) == catalan
         ):
-            state = {**dict.fromkeys(range(catalan), 0), **state}
+            import numpy as np
+
+            state = np.array([state.get(d, 0) for d in range(catalan)], dtype=object)
             dense = True
         if dense:
             table.plan(i).apply(state, width, ell > 0)
             continue
         act = table.act[i - 1]
         moved: dict[int, int] = {}
+        capped = []
         if ell > 0:
             capped_shift, kept_shift = width, 0
         else:
@@ -543,7 +556,7 @@ def _word_state(
         for d, x in state.items():
             target, loops = act[d] or table.fill(i, d)
             if loops:
-                state[d] = -(x << capped_shift)
+                capped.append(d)
                 continue
             if kept_shift:
                 state[d] = x << kept_shift
@@ -554,14 +567,17 @@ def _word_state(
         for target, x in moved.items():
             if (n - table.closure[target]) & 1:
                 x <<= width
-            if target in state:
-                state[target] += x
+            if target in state:  # capped: one subtraction, no negation
+                state[target] = x - (state[target] << capped_shift)
             else:
                 state[target] = x
+        for d in capped:
+            if d not in moved:
+                state[d] = -(state[d] << capped_shift)
         if len(state) > max_diagrams:
             raise _cap_error(n, len(state), bits)
-    if dense:  # drop the zero fill
-        state = dict(filter(itemgetter(1), state.items()))
+    if dense:  # back to a dict without the zero fill
+        state = {d: x for d, x in enumerate(state.tolist()) if x}
     return table, state, (width, top)
 
 

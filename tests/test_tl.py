@@ -624,9 +624,8 @@ def _engine_words(draw):
     return BraidWord(n, tuple(draw(st.lists(letter, max_size=60))))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_engine_words())
-def test_dense_letters_match_the_sparse_loop(word):
+def _sparse_results(word):
+    """bracket_via_tl and rep_braid_word of word, every letter on the dict loop."""
     n = word.strands
     with pytest.MonkeyPatch.context() as mp:
         # a fresh table that never counts itself complete keeps every letter
@@ -635,7 +634,14 @@ def test_dense_letters_match_the_sparse_loop(word):
         sparse_table.catalan += 1
         mp.setattr(tl_module, "_TABLES", {n: sparse_table})
         mp.setattr(tl_module._LetterPlan, "apply", None)
-        sparse = (bracket_via_tl(word), rep_braid_word(word))
+        return bracket_via_tl(word), rep_braid_word(word)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_engine_words())
+def test_dense_letters_match_the_sparse_loop(word):
+    n = word.strands
+    sparse = _sparse_results(word)
     _complete_table(n)
     dense = (bracket_via_tl(word), rep_braid_word(word))
     assert dense == sparse
@@ -658,12 +664,75 @@ def test_dense_letters_run_on_full_width_words(monkeypatch):
         word = _random_word(rng, n, 40)
         calls.clear()
         assert rep_braid_word(word) == _general_fold(word)
-        # once half full, the state holds every diagram to the last letter
-        assert calls and set(calls) == {table.catalan}, n
+        if n < 5:
+            # on 2-4 strands a whole sparse letter costs less than a dense
+            # letter's fixed numpy cost
+            assert calls == [], n
+        else:
+            # once half full, the state holds every diagram to the last letter
+            assert calls and set(calls) == {table.catalan}, n
     # a word that leaves a generator out never fills the whole table
     calls.clear()
     bracket_via_tl(BraidWord(6, (1, 2, 3, 4) * 10))
     assert calls == []
+
+
+def _long_dense_word():
+    # the continuous-integration packaging step rebuilds this word with the
+    # same random calls and checks that its Jones polynomial is (-2)^(c - 1)
+    # at t = 1
+    return _random_word(random.Random(6), 6, 300)
+
+
+def test_dense_state_holds_python_ints(monkeypatch):
+    word = _long_dense_word()
+    sparse = _sparse_results(word)
+    _complete_table(word.strands)
+    seen = []
+    apply = tl_module._LetterPlan.apply
+
+    def checking(self, state, width, positive):
+        assert all(type(x) is int for x in state)  # not numpy scalars
+        apply(self, state, width, positive)
+        assert all(type(x) is int for x in state)
+        seen.append(max(x.bit_length() for x in state))
+
+    monkeypatch.setattr(tl_module._LetterPlan, "apply", checking)
+    dense = (bracket_via_tl(word), rep_braid_word(word))
+    assert len(seen) > 2 * len(word.letters) * 0.9  # nearly every letter, twice
+    assert max(seen) > 10_000  # the packed ints run to thousands of bits
+    assert dense == sparse
+    _, state, _ = tl_module._word_state(word)
+    assert state and all(type(x) is int and x for x in state.values())
+
+
+def test_every_capped_target_has_a_source(monkeypatch):
+    # np.add.reduceat gives an empty group the next group's first element,
+    # so a plan must never hold a target with no source
+    for n in range(2, 9):
+        table = _complete_table(n)
+        for i in range(1, n):
+            plan = table.plan(i)
+            ends = np.append(plan.starts, len(plan.sources))
+            assert (np.diff(ends) > 0).all() and len(ends) == len(plan.targets) + 1
+            senders, low = np.flatnonzero(plan.shifted[False]), plan.shifted[True]
+            assert sorted([*plan.targets, *senders]) == list(range(table.catalan))
+            assert set(np.flatnonzero(low)) == set(plan.targets[: plan.split])
+            h = [(n - table.closure[t]) & 1 for t in plan.targets]
+            assert h == sorted(h) and h.count(0) == plan.split
+            act = table.act[i - 1]
+            groups = np.split(plan.sources, plan.starts[1:])
+            for t, group in zip(plan.targets, groups):
+                assert {act[d][0] for d in group} == {t} and act[t] == (t, 1)
+    # a capped target whose sources are gone fails to plan, loudly
+    monkeypatch.setattr(tl_module, "_TABLES", {})
+    act = _complete_table(5).act[0]
+    target = next(t for t, (_, loops) in enumerate(act) if loops)
+    for d, (t, _) in enumerate(act):
+        if t == target:
+            act[d] = (d, 1)
+    with pytest.raises(KeyError):
+        tl_module._TABLES[5].plan(1)
 
 
 def test_threads_share_fresh_tables_and_plans(monkeypatch):
